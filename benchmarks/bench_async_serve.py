@@ -10,10 +10,11 @@ Exercises :class:`~repro.service.AsyncResilienceServer` end to end and emits
   the merged concurrent stream, measured at the consumer (true p50, not the
   histogram bound) alongside the metrics surface's histogram estimate;
 * **admission overhead**: one workload through ``submit`` + the asyncio
-  bridge vs. the same workload through a direct ``serve_iter`` drain on the
-  same server — the front-end's whole cost (admission queue, drain thread,
-  ``call_soon_threadsafe`` hops, the consumer loop) must stay within 10% of
-  the direct path on exact-heavy queries with realistic per-outcome work
+  bridge vs. the same workload's envelope drained straight from
+  ``exchange.submit`` on the same one-node exchange — the front-end's whole
+  cost (admission queue, drain thread, ``call_soon_threadsafe`` hops, the
+  consumer loop) must stay within 10% of the direct path on exact-heavy
+  queries with realistic per-outcome work
   (asserted outside the CI smoke pass and only on multi-core machines — a
   single core cannot overlap the front-end's threads with serving work, and
   a loaded runner's timing must not turn CI red; the measured ratio is
@@ -31,8 +32,9 @@ from repro.graphdb import generators
 from repro.service import (
     AsyncResilienceServer,
     LanguageCache,
-    ResilienceServer,
+    ThreadExchange,
     Workload,
+    WorkloadEnvelope,
     resilience_serve,
 )
 
@@ -82,7 +84,9 @@ def test_concurrent_submissions_are_outcome_identical_on_one_pool():
     graph = database()
     workload = mixed_workload(24)
     reference = resilience_serve(workload, graph, parallel=False)
-    with AsyncResilienceServer(ResilienceServer(graph, max_workers=2)) as server:
+    with AsyncResilienceServer(
+        ThreadExchange(nodes=1, max_workers=2), database=graph
+    ) as server:
 
         async def scenario():
             iterators = [
@@ -96,7 +100,7 @@ def test_concurrent_submissions_are_outcome_identical_on_one_pool():
 
         results = asyncio.run(scenario())
         pids = server.worker_pids()
-        assert server.server.pool_stats().pools_created == 1, "one shared pool"
+        assert server.metrics().pool.pools_created == 1, "one shared pool"
     for outcomes in results:
         assert sorted_outcomes(outcomes) == reference
     assert pids, "the concurrent workloads must have run on a real pool"
@@ -113,14 +117,15 @@ def test_merged_stream_latency_and_admission_overhead():
     # process-pool scheduling jitter out of *both* arms — the comparison
     # isolates the front-end (queue, drain thread, asyncio bridge), which is
     # identical machinery over either execution mode.
-    server = ResilienceServer(graph, parallel=False, cache=LanguageCache(canonical=False))
+    exchange = ThreadExchange(nodes=1, parallel=False, cache=LanguageCache(canonical=False))
+    envelope = WorkloadEnvelope.single(workload, graph)
     reference = resilience_serve(workload, graph, parallel=False, cache=LanguageCache(canonical=False))
     direct_seconds = []
     async_seconds = []
     merged_latencies = []
     try:
-        list(server.serve_iter(workload))  # warm the database index + cache
-        front_end = AsyncResilienceServer(server)
+        list(exchange.submit(envelope))  # warm the node, database index + cache
+        front_end = AsyncResilienceServer(exchange, database=graph)
 
         # One event loop, arms interleaved round by round: machine-load drift
         # over the benchmark's lifetime hits both arms equally, and the
@@ -132,7 +137,7 @@ def test_merged_stream_latency_and_admission_overhead():
             await submit_and_time(front_end, workload)  # warm the drain thread
             for _ in range(rounds):
                 started = time.perf_counter()
-                direct = list(server.serve_iter(workload))
+                direct = list(exchange.submit(envelope))
                 direct_seconds.append(time.perf_counter() - started)
                 assert sorted_outcomes(direct) == reference
 
@@ -153,9 +158,9 @@ def test_merged_stream_latency_and_admission_overhead():
 
         asyncio.run(all_rounds())
         histogram_p50 = front_end.metrics().latency["ok"]
-        front_end.close()  # also closes the wrapped server
+        front_end.close()  # also closes the exchange
     finally:
-        server.close()
+        exchange.close()
 
     # Paired-round minimum: each async round is compared to the direct round
     # interleaved right next to it, and the best pair wins — machine-load

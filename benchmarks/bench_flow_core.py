@@ -10,7 +10,8 @@ flow-tractable hot path:
   ``min_cut_compiled`` — the PR's acceptance bar: **≥ 3x** on this matrix;
 * **serve p50**: per-query latency of a flow-heavy workload through a warm
   serial :class:`~repro.service.server.ResilienceServer`, fast solver vs the
-  reference solver forced via ``REPRO_FLOW_SOLVER``.
+  reference solver (:func:`~repro.flow.reference_min_cut` substituted for
+  the reductions' ``solve_min_cut``).
 
 Every run (smoke included) emits ``BENCH_flow.json`` with the before/after
 numbers; ``tools/ci.sh`` reads it back as a regression guard.  The ≥ 3x
@@ -21,16 +22,16 @@ solver to beat the reference.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 
 import pytest
 
 from conftest import emit_bench_json, smoke_mode
-from repro.flow import compile_product_graph, min_cut, min_cut_compiled
+from repro.flow import compile_product_graph, min_cut, min_cut_compiled, reference_min_cut
 from repro.graphdb import generators
 from repro.languages import Language, read_once
+from repro.resilience import bcl_flow, local_flow, one_dangling
 from repro.resilience.local_flow import build_product_network
 from repro.service import LanguageCache, ResilienceServer
 
@@ -99,41 +100,34 @@ def _measure_matrix() -> dict:
     return {"rows": rows, "smoke": smoke}
 
 
-def _serve_p50(solver: str) -> float:
+def _serve_p50() -> float:
     """p50 per-query serve latency (µs) on a warm serial server."""
     smoke = smoke_mode()
     passes = 2 if smoke else 8
     database = generators.layered_flow_database(6, 6, seed=3)
-    previous = os.environ.get("REPRO_FLOW_SOLVER")
-    os.environ["REPRO_FLOW_SOLVER"] = solver
-    try:
-        samples: list[float] = []
-        # A string-keyed cache keeps the result-level layer out of the
-        # measurement: every pass must genuinely run the flow reductions.
-        with ResilienceServer(
-            database, parallel=False, cache=LanguageCache(canonical=False)
-        ) as server:
-            server.serve(SERVE_QUERIES)  # warm-up: indexes, substrates, plans
-            for _ in range(passes):
-                for query in SERVE_QUERIES:
-                    start = time.perf_counter()
-                    outcomes = server.serve([query])
-                    samples.append(time.perf_counter() - start)
-                    assert outcomes[0].ok, outcomes[0]
-        return statistics.median(samples) * 1e6
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FLOW_SOLVER", None)
-        else:
-            os.environ["REPRO_FLOW_SOLVER"] = previous
+    samples: list[float] = []
+    # A string-keyed cache keeps the result-level layer out of the
+    # measurement: every pass must genuinely run the flow reductions.
+    with ResilienceServer(
+        database, parallel=False, cache=LanguageCache(canonical=False)
+    ) as server:
+        server.serve(SERVE_QUERIES)  # warm-up: indexes, substrates, plans
+        for _ in range(passes):
+            for query in SERVE_QUERIES:
+                start = time.perf_counter()
+                outcomes = server.serve([query])
+                samples.append(time.perf_counter() - start)
+                assert outcomes[0].ok, outcomes[0]
+    return statistics.median(samples) * 1e6
 
 
 def test_flow_core_speedup_and_emit_json():
     payload = _measure_matrix()
-    payload["serve_p50_us"] = {
-        "reference": _serve_p50("reference"),
-        "fast": _serve_p50("fast"),
-    }
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (local_flow, bcl_flow, one_dangling):
+            patch.setattr(module, "solve_min_cut", reference_min_cut)
+        reference_p50 = _serve_p50()
+    payload["serve_p50_us"] = {"reference": reference_p50, "fast": _serve_p50()}
 
     def geomean(values):
         product = 1.0

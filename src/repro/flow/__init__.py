@@ -6,14 +6,13 @@ invariants and the substrate lifecycle.
 """
 
 from .compiled import (
-    FLOW_SOLVER_ENV,
     CompiledCut,
     CompiledFlowGraph,
     FlowGraphBuilder,
     compile_network,
-    default_flow_solver,
     fast_min_cut,
     min_cut_compiled,
+    reference_min_cut,
     solve_min_cut,
 )
 from .mincut import INFINITY, MinCutResult, min_cut, min_cut_value
@@ -28,7 +27,6 @@ from .substrate import (
 )
 
 __all__ = [
-    "FLOW_SOLVER_ENV",
     "INFINITY",
     "BclSubstrate",
     "CompiledCut",
@@ -42,11 +40,11 @@ __all__ = [
     "compile_bcl_graph",
     "compile_network",
     "compile_product_graph",
-    "default_flow_solver",
     "fast_min_cut",
     "min_cut",
     "min_cut_compiled",
     "min_cut_value",
     "product_substrate",
+    "reference_min_cut",
     "solve_min_cut",
 ]

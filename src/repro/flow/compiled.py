@@ -33,45 +33,25 @@ Representation invariants:
   reachable from the source in the residual graph is the unique
   inclusion-minimal min-cut source side — it does not depend on augmentation
   order.  Both solvers therefore return the *same* cut edges on the same
-  network, which is what lets the serving layer force either solver and get
-  byte-identical outcomes (pinned by the conformance suite and ``tools/ci.sh``).
+  network, which is what lets the tests substitute the reference solver and
+  get byte-identical outcomes (pinned by the conformance suite).
 
 :func:`fast_min_cut` is a drop-in replacement for
 :func:`~repro.flow.mincut.min_cut` on a :class:`FlowNetwork`;
 :func:`solve_min_cut` is the reductions' entry point on an already-compiled
-graph, honouring the ``REPRO_FLOW_SOLVER`` environment variable
-(``"fast"`` — the default — or ``"reference"``).
+graph, and :func:`reference_min_cut` its object-layer test oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
-from ..exceptions import ReproError
 from .mincut import MinCutResult, min_cut
 from .network import FlowNetwork, Node
 
 INFINITY = math.inf
-
-#: Environment variable selecting the min-cut solver used by the resilience
-#: reductions: ``"fast"`` (array Dinic, default) or ``"reference"`` (the
-#: retained object-layer :func:`~repro.flow.mincut.min_cut`).
-FLOW_SOLVER_ENV = "REPRO_FLOW_SOLVER"
-
-_SOLVERS = ("fast", "reference")
-
-
-def default_flow_solver() -> str:
-    """Return the solver selected by ``REPRO_FLOW_SOLVER`` (default ``"fast"``)."""
-    mode = os.environ.get(FLOW_SOLVER_ENV, "fast")
-    if mode not in _SOLVERS:
-        raise ReproError(
-            f"unknown flow solver {mode!r} in ${FLOW_SOLVER_ENV} (expected one of {_SOLVERS})"
-        )
-    return mode
 
 
 class CompiledFlowGraph:
@@ -148,7 +128,7 @@ class CompiledFlowGraph:
     def to_network(self) -> FlowNetwork:
         """Materialize the object-layer :class:`FlowNetwork` of this graph.
 
-        Used by the ``"reference"`` solver mode: the retained
+        Used by :func:`reference_min_cut`: the retained
         :func:`~repro.flow.mincut.min_cut` then runs on exactly the network
         this graph encodes, so the two solvers are differential twins.
         """
@@ -520,21 +500,25 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
     )
 
 
-def solve_min_cut(graph: CompiledFlowGraph, solver: str | None = None) -> CompiledCut:
-    """Solve a compiled graph with the selected solver.
+def solve_min_cut(graph: CompiledFlowGraph) -> CompiledCut:
+    """Solve a compiled graph: the resilience reductions' min-cut entry point.
 
-    ``solver`` overrides the ``REPRO_FLOW_SOLVER`` environment default.  The
-    ``"reference"`` mode materializes the graph back into a
-    :class:`FlowNetwork` and runs the retained object-layer
-    :func:`~repro.flow.mincut.min_cut` — on exact-arithmetic graphs both modes
-    return identical values *and* identical cut edges (canonical cuts), which
-    the conformance CI asserts byte-for-byte.
+    Runs the array Dinic (:func:`min_cut_compiled`).  The reductions call it
+    through their module globals, so tests can substitute
+    :func:`reference_min_cut` for it.
     """
-    mode = solver if solver is not None else default_flow_solver()
-    if mode == "fast":
-        return min_cut_compiled(graph)
-    if mode != "reference":
-        raise ReproError(f"unknown flow solver {mode!r} (expected one of {_SOLVERS})")
+    return min_cut_compiled(graph)
+
+
+def reference_min_cut(graph: CompiledFlowGraph) -> CompiledCut:
+    """Solve a compiled graph with the object-layer solver (the test oracle).
+
+    Materializes the graph back into a :class:`FlowNetwork` and runs the
+    retained :func:`~repro.flow.mincut.min_cut`.  On exact-arithmetic graphs
+    it returns the same value *and* the same cut edges as
+    :func:`solve_min_cut` (canonical cuts), which the conformance suite
+    asserts byte for byte.
+    """
     # Map the cut back by edge identity: FlowEdge equality is by value, and
     # parallel edges of a product network can be value-equal.
     network = graph.to_network()

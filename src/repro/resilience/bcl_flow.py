@@ -84,11 +84,8 @@ def resilience_bcl(
     database: GraphDatabase | BagGraphDatabase,
     *,
     semantics: str | None = None,
-    solver: str | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a bipartite chain language (Proposition 7.6).
-
-    ``solver`` overrides the ``REPRO_FLOW_SOLVER`` min-cut solver selection.
 
     Raises:
         NotApplicableError: if the language is not a bipartite chain language.
@@ -117,7 +114,7 @@ def resilience_bcl(
     base_cost = sum(index.multiplicities[fact_id] for fact_id in forced_ids)
 
     graph = compile_bcl_graph(structure, index, frozenset(forced_ids))
-    cut = solve_min_cut(graph, solver=solver)
+    cut = solve_min_cut(graph)
     if cut.value == INFINITE:  # pragma: no cover - cannot happen once epsilon/one-letter words are gone
         return ResilienceResult(INFINITE, None, semantics, "bcl-flow", name)
     contingency = forced | frozenset(key for key in cut.cut_keys if isinstance(key, Fact))

@@ -755,7 +755,6 @@ def resilience_many(
     exact_max_nodes: int | None = None,
     exact_max_seconds: float | None = None,
     cache: "LanguageCache | None" = None,
-    store: "AnalysisStore | None" = None,
 ) -> list[ResilienceResult]:
     """Compute the resilience of many queries against one shared database.
 
@@ -768,14 +767,13 @@ def resilience_many(
     therefore one memoized infix-free sublanguage — the single most expensive
     per-query derivation is paid once per distinct language, not once per
     submission.  Pass ``cache=`` to share that cache across several batches of
-    the same session, or ``store=`` to additionally persist analyses on disk
-    across processes (see :class:`~repro.resilience.store.AnalysisStore`).
-    Results are returned in query order.
+    the same session; a cache built with ``LanguageCache(store=...)``
+    additionally persists analyses on disk across processes (see
+    :class:`~repro.resilience.store.AnalysisStore`).  Results are returned in
+    query order.
     """
     if cache is None:
-        cache = LanguageCache(store=store)
-    elif store is not None:
-        raise ValueError("pass the store through the cache (LanguageCache(store=...)), not both")
+        cache = LanguageCache()
     query_list: Sequence[Language | RPQ | str] = list(queries)
     # Warm the shared structures before fanning out over the query fleet.
     warm_database(database)

@@ -81,7 +81,6 @@ def resilience_local(
     *,
     check_local: bool = True,
     semantics: str | None = None,
-    solver: str | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a local language via the MinCut reduction of Theorem 3.13.
 
@@ -92,9 +91,6 @@ def resilience_local(
         database: the input database (set databases get unit multiplicities).
         check_local: verify locality first and raise :class:`NotLocalError` if it fails.
         semantics: force the reported semantics; inferred from the database type otherwise.
-        solver: min-cut solver override (``"fast"`` / ``"reference"``); defaults
-            to the ``REPRO_FLOW_SOLVER`` environment selection.  Both solvers
-            produce identical results on the identical compiled network.
 
     Returns:
         the resilience value, a witnessing contingency set, and the compiled
@@ -117,7 +113,7 @@ def resilience_local(
     # construction.  (The object-network builder above is retained as the
     # differential reference; see the flow README.)
     graph = compile_product_graph(automaton, bag.index())
-    cut = solve_min_cut(graph, solver=solver)
+    cut = solve_min_cut(graph)
     if cut.value == INFINITE:
         return ResilienceResult(INFINITE, None, semantics, "local-flow", language.name or "")
     contingency = frozenset(key for key in cut.cut_keys if isinstance(key, Fact))

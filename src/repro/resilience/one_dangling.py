@@ -112,11 +112,8 @@ def resilience_one_dangling(
     *,
     decomposition: OneDanglingDecomposition | None = None,
     semantics: str | None = None,
-    solver: str | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a one-dangling language (Proposition 7.9).
-
-    ``solver`` overrides the ``REPRO_FLOW_SOLVER`` min-cut solver selection.
 
     Raises:
         NotApplicableError: if the language is not one-dangling.
@@ -134,9 +131,7 @@ def resilience_one_dangling(
 
     x_letter, y_letter = decomposition.x, decomposition.y
     if y_letter not in decomposition.local_alphabet:
-        return _solve_forward(
-            language, decomposition, bag, semantics, mirrored=False, solver=solver
-        )
+        return _solve_forward(language, decomposition, bag, semantics, mirrored=False)
     # Otherwise x is the fresh letter: mirror the language and the database
     # (Proposition 6.3), solve, and mirror the contingency set back.
     mirrored_language = language.mirror()
@@ -149,7 +144,6 @@ def resilience_one_dangling(
         bag.reverse(),
         semantics,
         mirrored=True,
-        solver=solver,
     )
     contingency = None
     if result.contingency_set is not None:
@@ -168,7 +162,6 @@ def _solve_forward(
     semantics: str,
     *,
     mirrored: bool,
-    solver: str | None = None,
 ) -> ResilienceResult:
     """Solve the case where the second letter ``y`` of the dangling word is fresh."""
     name = language.name or ""
@@ -197,7 +190,7 @@ def _solve_forward(
     # path still skips the whole object-network layer (its index carries its
     # own product substrate).
     graph = compile_product_graph(primed_automaton, positive_part.index())
-    cut = solve_min_cut(graph, solver=solver)
+    cut = solve_min_cut(graph)
     if cut.value == INFINITE:  # pragma: no cover - epsilon not in L'
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
 

@@ -30,11 +30,9 @@ a serving subsystem for query fleets:
   routing between front-end and nodes.  A
   :class:`~repro.service.exchange.base.WorkloadEnvelope` travels through an
   :class:`~repro.service.exchange.base.Exchange` —
-  :class:`~repro.service.exchange.local.LocalExchange` (one in-process
-  server, the default),
   :class:`~repro.service.exchange.threads.ThreadExchange` (an in-process
-  fleet of nodes routed by database fingerprint, with failover), or
-  :class:`~repro.service.exchange.http.HttpExchange` (the same fleet over
+  fleet of one or more nodes routed by database fingerprint, with failover)
+  or :class:`~repro.service.exchange.http.HttpExchange` (the same fleet over
   stdlib HTTP) — managed by a
   :class:`~repro.service.exchange.manager.NodeManager` (spawn / drain /
   kill / replace).
@@ -105,7 +103,6 @@ from .exchange import (
     Exchange,
     HealthMonitor,
     HttpExchange,
-    LocalExchange,
     NodeManager,
     NodeStats,
     RetryPolicy,
@@ -136,7 +133,6 @@ __all__ = [
     "HttpExchange",
     "LanguageCache",
     "LatencyHistogram",
-    "LocalExchange",
     "MetricsEndpoint",
     "NodeManager",
     "NodeStats",

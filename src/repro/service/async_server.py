@@ -2,13 +2,11 @@
 
 :class:`AsyncResilienceServer` is the top layer of the three-layer serving
 stack (front-end → exchange → nodes).  It multiplexes *concurrent* workloads
-onto an :class:`~repro.service.exchange.base.Exchange` — by default a
-:class:`~repro.service.exchange.local.LocalExchange` wrapping one warm
-:class:`~repro.service.server.ResilienceServer`, but equally a
-fingerprint-routed fleet
-(:class:`~repro.service.exchange.threads.ThreadExchange`,
-:class:`~repro.service.exchange.http.HttpExchange`) — behind an ``asyncio``
-API:
+onto an :class:`~repro.service.exchange.base.Exchange` — a fingerprint-routed
+fleet of warm nodes
+(:class:`~repro.service.exchange.threads.ThreadExchange` with one or more
+in-process nodes, or :class:`~repro.service.exchange.http.HttpExchange`) —
+behind an ``asyncio`` API:
 
 * :meth:`~AsyncResilienceServer.submit` admits a workload into an internal
   admission queue and returns an async iterator of its
@@ -89,12 +87,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..resilience.engine import CacheStats
-from .cache import LanguageCache
 from .cancellation import CancellationToken
 from .exchange.base import EnvelopePart, Exchange, NodeStats, WorkloadEnvelope
-from .exchange.local import LocalExchange
 from .outcome import ADMISSION_REJECTED, ERROR, QueryOutcome
-from .server import PoolStats, ResilienceServer
+from .server import PoolStats
 from .workload import QueryLike, QuerySpec, Workload
 
 AnyDatabase = GraphDatabase | BagGraphDatabase
@@ -230,9 +226,8 @@ class ServerMetrics:
     Aggregates the full serving runtime: fleet-wide
     :class:`~repro.resilience.engine.CacheStats` and
     :class:`~repro.service.server.PoolStats` roll-ups (via their
-    ``aggregate`` hooks — over a single-node
-    :class:`~repro.service.exchange.local.LocalExchange` the roll-up equals
-    the node's own counters), the per-node
+    ``aggregate`` hooks — over a single node the roll-up equals the node's
+    own counters), the per-node
     :class:`~repro.service.exchange.base.NodeStats` snapshots behind them,
     the admission queue's :class:`AdmissionStats`, and per-outcome-status
     latency histograms (submit-to-delivery seconds).  :meth:`to_json` is the
@@ -566,19 +561,13 @@ class AsyncResilienceServer:
     """An asyncio front-end multiplexing workloads onto an exchange.
 
     Args:
-        server: what to serve through — an
-            :class:`~repro.service.exchange.base.Exchange` (routed fleets
-            included), a :class:`~repro.service.server.ResilienceServer`
-            (wrapped in a :class:`~repro.service.exchange.local.LocalExchange`
-            — the single-node path, behavior-identical to the pre-exchange
-            front-end), or a database, from which a local server is built
-            with the remaining keyword arguments (``max_workers``,
-            ``parallel``, ``cache``, ``store``).  The async server *owns*
-            the exchange either way: closing the front-end closes it, its
-            nodes and their pools.
-        database: the default database submissions run against.  Required
-            (here or per-:meth:`submit`) when wrapping a bare ``Exchange``;
-            inferred — and not accepted — when wrapping a server or database.
+        exchange: the :class:`~repro.service.exchange.base.Exchange` every
+            round is served through — ``ThreadExchange(nodes=1)`` for one
+            in-process node.  The async server *owns* it: closing the
+            front-end closes the exchange, its nodes and their pools.  Any
+            other type raises :class:`TypeError`.
+        database: the default database submissions run against (each
+            :meth:`submit` may pass its own instead).
         max_queue_depth: bound on *waiting* workloads; a submission arriving
             at the bound is rejected with structured
             :data:`~repro.service.outcome.ADMISSION_REJECTED` outcomes
@@ -605,18 +594,20 @@ class AsyncResilienceServer:
 
     def __init__(
         self,
-        server: Exchange | ResilienceServer | AnyDatabase,
+        exchange: Exchange,
         *,
         database: AnyDatabase | None = None,
         max_queue_depth: int = 64,
         round_share: int | None = None,
         share_weights: Mapping[int, float] | None = None,
         autostart: bool = True,
-        max_workers: int | None = None,
-        parallel: bool = True,
-        cache: LanguageCache | None = None,
-        store=None,
     ) -> None:
+        if not isinstance(exchange, Exchange):
+            raise TypeError(
+                "AsyncResilienceServer serves through an Exchange, got "
+                f"{type(exchange).__name__}; for one in-process node use "
+                "AsyncResilienceServer(ThreadExchange(nodes=1), database=...)"
+            )
         if max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1 (got {max_queue_depth})")
         if round_share is not None and round_share < 1:
@@ -627,37 +618,8 @@ class AsyncResilienceServer:
                     raise ValueError(
                         f"share weights must be > 0 (priority {priority} got {weight})"
                     )
-        if isinstance(server, Exchange):
-            if max_workers is not None or cache is not None or store is not None or parallel is not True:
-                raise ValueError(
-                    "max_workers/parallel/cache/store configure a server built from a "
-                    "database; an Exchange already owns its nodes' configuration"
-                )
-            self._exchange = server
-            self._default_database = database
-        elif isinstance(server, ResilienceServer):
-            if max_workers is not None or cache is not None or store is not None or parallel is not True:
-                raise ValueError(
-                    "max_workers/parallel/cache/store configure a server built from a "
-                    "database; an existing ResilienceServer already owns them"
-                )
-            if database is not None and database is not server.database:
-                raise ValueError(
-                    "database= names the default database of a bare Exchange; a "
-                    "ResilienceServer already pins its own"
-                )
-            self._exchange = LocalExchange(server)
-            self._default_database = server.database
-        else:
-            if database is not None:
-                raise ValueError(
-                    "database= names the default database of a bare Exchange; "
-                    "positional `server` already is the database here"
-                )
-            self._exchange = LocalExchange(
-                server, max_workers=max_workers, parallel=parallel, cache=cache, store=store
-            )
-            self._default_database = self._exchange.database
+        self._exchange = exchange
+        self._default_database = database
         self._max_queue_depth = max_queue_depth
         self._round_share = round_share
         self._share_weights = dict(share_weights) if share_weights else {}
@@ -688,24 +650,9 @@ class AsyncResilienceServer:
         return self._exchange
 
     @property
-    def server(self) -> ResilienceServer:
-        """The wrapped warm server — single-node (:class:`LocalExchange`) only."""
-        if isinstance(self._exchange, LocalExchange):
-            return self._exchange.server
-        raise ReproError(
-            "no single wrapped server: this front-end serves through "
-            f"{type(self._exchange).__name__}; use .exchange"
-        )
-
-    @property
-    def cache(self) -> LanguageCache:
-        """The wrapped server's cache — single-node (:class:`LocalExchange`) only."""
-        return self.server.cache
-
-    @property
-    def database(self) -> AnyDatabase:
-        """The default database submissions run against (may be ``None`` for a
-        bare exchange configured per-submit)."""
+    def database(self) -> AnyDatabase | None:
+        """The default database submissions run against (``None`` when every
+        submission passes its own)."""
         return self._default_database
 
     def worker_pids(self) -> frozenset[int]:
@@ -822,8 +769,7 @@ class AsyncResilienceServer:
         Raises:
             ReproError: on a closed server (the one non-graceful refusal: the
                 pool is gone, so no later capacity can serve a retry), or
-                when no database is known (bare exchange, no default, no
-                ``database=``).
+                when no database is known (no default and no ``database=``).
         """
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0 seconds (got {deadline})")
@@ -834,8 +780,8 @@ class AsyncResilienceServer:
         db = database if database is not None else self._default_database
         if db is None:
             raise ReproError(
-                "no database to serve against: this front-end wraps a bare "
-                "exchange with no default; pass database= to submit()"
+                "no database to serve against: this front-end has no default; "
+                "pass database= to submit()"
             )
         fleet = Workload.coerce(workload)
         loop = asyncio.get_running_loop()
@@ -1004,8 +950,7 @@ class AsyncResilienceServer:
 
         Slices are grouped by database (identity, first-appearance order)
         into one :class:`WorkloadEnvelope` part per database; a
-        single-database round is therefore a one-part envelope — the exact
-        merged workload the pre-exchange front-end served directly.  Outcome
+        single-database round is therefore a one-part envelope.  Outcome
         indices come back envelope-global and are rewritten to workload-local
         before delivery.  Each entry's cancellation token rides along keyed
         by envelope index, so deadlines and consumer cancels cut execution
@@ -1137,7 +1082,7 @@ class AsyncResilienceServer:
         # exchange owns — nodes serving from a shared cache report empty
         # per-node CacheStats to keep this roll-up double-count-free.
         cache_parts = [snapshot.cache for snapshot in nodes]
-        shared = getattr(self._exchange, "shared_cache_stats", lambda: None)()
+        shared = self._exchange.shared_cache_stats()
         if shared is not None:
             cache_parts.append(shared)
         return ServerMetrics(
@@ -1146,7 +1091,7 @@ class AsyncResilienceServer:
             admission=admission,
             latency=latency,
             nodes=nodes,
-            degraded_serves=getattr(self._exchange, "degraded_serves", 0),
+            degraded_serves=self._exchange.degraded_serves,
         )
 
     def metrics_endpoint(self, port: int = 0, *, host: str = "127.0.0.1") -> MetricsEndpoint:

@@ -5,11 +5,11 @@ The serving stack is three layers — front-end
 merging, streaming), **exchange** (this package: routing, scatter/gather,
 failover), nodes (warm :class:`~repro.service.server.ResilienceServer`
 pools).  The front-end codes against the :class:`Exchange` contract only, so
-the same admission-controlled surface serves in-process
-(:class:`LocalExchange`), over an in-process fleet (:class:`ThreadExchange`)
-or over HTTP (:class:`HttpExchange`) — the local → thread → HTTP ladder,
-each rung pinned outcome-identical to the uncached serial reference by the
-conformance suite.
+the same admission-controlled surface serves over an in-process fleet
+(:class:`ThreadExchange`, one node or several) or over HTTP
+(:class:`HttpExchange`) — the thread → HTTP ladder, each rung pinned
+outcome-identical to the uncached serial reference by the conformance
+suite.
 """
 
 from .base import (
@@ -23,7 +23,6 @@ from .base import (
 )
 from .health import CircuitBreaker, HealthMonitor, RetryPolicy
 from .http import HttpExchange, HttpNode, HttpNodeLauncher, HttpNodeServer
-from .local import LocalExchange
 from .manager import NodeLauncher, NodeManager, ThreadNodeLauncher
 from .nodes import ThreadNode
 from .router import Router
@@ -39,7 +38,6 @@ __all__ = [
     "HttpNode",
     "HttpNodeLauncher",
     "HttpNodeServer",
-    "LocalExchange",
     "Mailbox",
     "Node",
     "NodeLauncher",

@@ -205,10 +205,9 @@ class Node(ABC):
 class Exchange(ABC):
     """What the async front-end owns: envelope in, outcome stream out.
 
-    Implementations: :class:`~repro.service.exchange.local.LocalExchange`
-    (one in-process server, zero routing), routed exchanges over a node fleet
-    (:class:`~repro.service.exchange.threads.ThreadExchange`,
-    :class:`~repro.service.exchange.http.HttpExchange`).
+    Implementations are routed exchanges over a node fleet
+    (:class:`~repro.service.exchange.threads.ThreadExchange` — one in-process
+    node or several — and :class:`~repro.service.exchange.http.HttpExchange`).
     """
 
     @abstractmethod

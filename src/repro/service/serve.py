@@ -34,7 +34,6 @@ from ..exceptions import SearchBudgetExceeded
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..languages.core import Language
 from ..resilience.engine import reforce_planned_method, resilience, warm_database
-from ..resilience.store import AnalysisStore
 from .cache import LanguageCache
 from .cancellation import DEADLINE_STATE, FLAG_LIVE, FLAG_STATES
 from .outcome import BUDGET_EXCEEDED, ERROR, OK, QueryOutcome
@@ -190,7 +189,6 @@ def resilience_serve(
     max_workers: int | None = None,
     parallel: bool = True,
     cache: LanguageCache | None = None,
-    store: AnalysisStore | None = None,
 ) -> list[QueryOutcome]:
     """Serve a resilience workload against one database, optionally in parallel.
 
@@ -209,11 +207,9 @@ def resilience_serve(
             time budgets consult the wall clock and may trip differently under
             pool contention.
         cache: optional session :class:`LanguageCache` to share planning work
-            across multiple serve calls.
-        store: optional :class:`~repro.resilience.store.AnalysisStore`
-            persisting classifications and infix-free sublanguages across
-            processes (mutually exclusive with ``cache``; pass the store
-            through ``LanguageCache(store=...)`` to combine them).
+            across multiple serve calls; ``LanguageCache(store=...)``
+            persists classifications and infix-free sublanguages across
+            processes.
 
     Returns:
         one :class:`QueryOutcome` per workload entry, in workload order.
@@ -228,6 +224,5 @@ def resilience_serve(
         max_workers=max_workers,
         parallel=parallel,
         cache=cache,
-        store=store,
     ) as server:
         return server.serve(workload)

@@ -39,7 +39,6 @@ from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..resilience.engine import warm_database
 from ..resilience.result import ResilienceResult
-from ..resilience.store import AnalysisStore
 from .cache import LanguageCache
 from .cancellation import CancellationToken, cancel_lookup, make_cancel_flags
 from .outcome import ERROR, OK, QueryOutcome
@@ -170,10 +169,8 @@ class ResilienceServer:
         cache: optional session :class:`LanguageCache` (a fresh canonical
             cache by default).  The cache lives in the *parent* process:
             planning dedupes equal and equivalent queries before anything is
-            shipped to a worker.
-        store: optional :class:`~repro.resilience.store.AnalysisStore`
-            persisting analyses across processes; mutually exclusive with
-            ``cache`` (pass ``LanguageCache(store=...)`` to combine).
+            shipped to a worker.  Build it with ``LanguageCache(store=...)``
+            to persist analyses across processes.
 
     Use as a context manager (or call :meth:`close`) to release the pool.
     """
@@ -185,20 +182,15 @@ class ResilienceServer:
         max_workers: int | None = None,
         parallel: bool = True,
         cache: LanguageCache | None = None,
-        store: AnalysisStore | None = None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1 (got {max_workers})")
-        if cache is not None and store is not None:
-            raise ValueError(
-                "pass the store through the cache (LanguageCache(store=...)), not both"
-            )
         self._database = database
         self._max_workers = max_workers
         self._parallel = parallel
-        self._cache = cache if cache is not None else LanguageCache(store=store)
+        self._cache = cache if cache is not None else LanguageCache()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_width = 0
         self._closed = False

@@ -200,7 +200,8 @@ class VariantSession:
             self._server = ResilienceServer(self.database, max_workers=2, cache=cache)
         elif self.execution.startswith("async"):
             self._async_server = AsyncResilienceServer(
-                ResilienceServer(self.database, max_workers=2, cache=cache)
+                ThreadExchange(nodes=1, max_workers=2, cache=cache),
+                database=self.database,
             )
         elif self.execution.startswith("distributed"):
             # A fingerprint-routed fleet behind the same async front-end —

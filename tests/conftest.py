@@ -49,6 +49,25 @@ def pytest_runtest_teardown(item, nextitem):
 
 
 @pytest.fixture
+def substitute_reference_solver(monkeypatch):
+    """Return a function that makes the flow reductions solve with the
+    object-layer oracle :func:`~repro.flow.compiled.reference_min_cut`.
+
+    The swap replaces ``solve_min_cut`` in each reduction module, so pool
+    workers forked after the call inherit it; monkeypatch restores the array
+    Dinic at teardown.
+    """
+    from repro.flow import reference_min_cut
+    from repro.resilience import bcl_flow, local_flow, one_dangling
+
+    def substitute() -> None:
+        for module in (local_flow, bcl_flow, one_dangling):
+            monkeypatch.setattr(module, "solve_min_cut", reference_min_cut)
+
+    return substitute
+
+
+@pytest.fixture
 def local_language() -> Language:
     return Language.from_regex("ab|ad|cd")
 

@@ -2,7 +2,8 @@
 
 These deliberately live with the tests rather than in ``src``: they kill and
 stall real worker processes.  Consumers: ``test_async_server.py`` (pool
-crash/replace), ``test_exchange.py`` (mid-stream node kills),
+crash/replace, the gated abandonment ordering), ``test_exchange.py``
+(mid-stream node kills),
 ``test_traffic.py`` and ``benchmarks/bench_soak.py`` (chaos soak payloads),
 and ``conformance_harness.py`` (the kill and soak-replay variants).
 
@@ -16,6 +17,10 @@ and ``conformance_harness.py`` (the kill and soak-replay variants).
 * :func:`drain_with_kill` / :func:`adrain_with_kill` — drain an outcome
   stream, firing a kill callback after exactly N outcomes have landed
   (mid-stream by construction).
+* :class:`GatedExchange` — an exchange wrapper that holds every round after
+  the first until the test opens its gate, so an ordering such as "the
+  consumer abandoned its stream before round two" no longer depends on
+  thread scheduling.
 * :class:`ChaosHttpNode` / :class:`ChaosHttpNodeLauncher` — the network-chaos
   transport: a real :class:`~repro.service.exchange.http.HttpNode` whose
   connections misbehave on cue via :meth:`ChaosHttpNode.inject_fault`
@@ -39,7 +44,7 @@ from typing import Callable
 
 from repro.exceptions import ReproError
 from repro.languages import Language
-from repro.service import QueryOutcome, QuerySpec, Workload
+from repro.service import Exchange, QueryOutcome, QuerySpec, Workload
 from repro.service.exchange.http import HttpNode, HttpNodeLauncher
 from repro.traffic import CORRUPT, DISCONNECT, NETWORK_KINDS, REFUSED, STALL
 
@@ -122,6 +127,38 @@ async def adrain_with_kill(
             f"stream ended after {len(outcomes)} outcomes; kill at {after} never fired"
         )
     return outcomes
+
+
+class GatedExchange(Exchange):
+    """Forwards to ``inner`` but holds every round after the first until
+    :meth:`open` is called (failing the held round after ``timeout`` seconds).
+
+    Owns ``inner``: closing this exchange closes it.
+    """
+
+    def __init__(self, inner: Exchange, *, timeout: float = 30.0) -> None:
+        self._inner = inner
+        self._timeout = timeout
+        self._gate = threading.Event()
+        self._rounds = 0
+
+    def open(self) -> None:
+        self._gate.set()
+
+    def submit(self, envelope, *, cancel=None):
+        self._rounds += 1
+        if self._rounds > 1 and not self._gate.wait(self._timeout):
+            raise AssertionError(f"gate not opened within {self._timeout}s")
+        return self._inner.submit(envelope, cancel=cancel)
+
+    def stats(self):
+        return self._inner.stats()
+
+    def shared_cache_stats(self):
+        return self._inner.shared_cache_stats()
+
+    def close(self) -> None:
+        self._inner.close()
 
 
 # ---------------------------------------------------------------- network chaos

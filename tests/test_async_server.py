@@ -38,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faults import poison_language
+from faults import GatedExchange, poison_language
 from repro.exceptions import ReproError
 from repro.graphdb import generators
 from repro.service import (
@@ -54,6 +54,7 @@ from repro.service import (
     ResilienceServer,
     ThreadExchange,
     Workload,
+    WorkloadEnvelope,
     resilience_serve,
 )
 
@@ -89,7 +90,8 @@ class TestAdmission:
     def test_concurrent_workloads_share_one_warm_pool(self, database, reference):
         async def scenario():
             async with AsyncResilienceServer(
-                ResilienceServer(database, max_workers=2, cache=LanguageCache(canonical=False))
+                ThreadExchange(nodes=1, max_workers=2, cache=LanguageCache(canonical=False)),
+                database=database,
             ) as server:
                 iterators = [await server.submit(MIXED) for _ in range(3)]
                 results = await asyncio.gather(*(collect(it) for it in iterators))
@@ -98,7 +100,7 @@ class TestAdmission:
                 # Round two on the same warm pool: identical answers, no re-fork.
                 again = await collect(await server.submit(MIXED))
                 assert server.worker_pids() == pids
-                assert server.server.pool_stats().pools_created == 1
+                assert server.metrics().pool.pools_created == 1
                 return results + [again]
 
         for outcomes in run(scenario()):
@@ -107,7 +109,9 @@ class TestAdmission:
     def test_priority_classes_drain_in_order_with_fifo_within_class(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False), autostart=False
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
+                autostart=False,
             )
             with server:
                 order = [2, 0, 1, 0, 2, 1]
@@ -128,7 +132,8 @@ class TestAdmission:
     def test_queue_depth_bound_rejects_structurally(self, database, reference):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 max_queue_depth=2,
                 autostart=False,
             )
@@ -154,7 +159,9 @@ class TestAdmission:
     def test_deadline_expiry_rejects_instead_of_serving_stale(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False), autostart=False
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
+                autostart=False,
             )
             with server:
                 expired = await server.submit(MIXED, deadline=0.0)
@@ -179,7 +186,8 @@ class TestAdmission:
         # frees its queue-depth slot for the incoming workload.
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 max_queue_depth=1,
                 autostart=False,
             )
@@ -207,7 +215,8 @@ class TestAdmission:
     def test_round_share_interleaves_a_large_workload_with_its_peers(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 round_share=2,
                 autostart=False,
             )
@@ -231,7 +240,8 @@ class TestAdmission:
     def test_empty_workload_completes_immediately(self, database):
         async def scenario():
             async with AsyncResilienceServer(
-                ResilienceServer(database, parallel=False)
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
             ) as server:
                 iterator = await server.submit([])
                 outcomes = await collect(iterator)
@@ -246,7 +256,8 @@ class TestAdmission:
     def test_empty_workload_is_admitted_even_at_a_saturated_queue(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 max_queue_depth=1,
                 autostart=False,
             )
@@ -263,7 +274,9 @@ class TestAdmission:
     def test_aclose_wakes_a_blocked_consumer(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False), autostart=False
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
+                autostart=False,
             )
             with server:
                 # Nothing will ever be delivered (drain not started), so the
@@ -282,7 +295,8 @@ class TestAdmission:
         # admission slot and phantom-reject live traffic.
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 max_queue_depth=1,
                 autostart=False,
             )
@@ -297,23 +311,20 @@ class TestAdmission:
 
     def test_invalid_parameters(self, database):
         with pytest.raises(ValueError):
-            AsyncResilienceServer(ResilienceServer(database), max_queue_depth=0)
+            AsyncResilienceServer(ThreadExchange(nodes=1), database=database, max_queue_depth=0)
         with pytest.raises(ValueError):
-            AsyncResilienceServer(ResilienceServer(database), round_share=0)
-        # Server-construction kwargs only apply when building from a database;
-        # silently ignoring them against a ready server would misconfigure.
-        with pytest.raises(ValueError):
-            AsyncResilienceServer(ResilienceServer(database), max_workers=8)
-        with pytest.raises(ValueError):
-            AsyncResilienceServer(ResilienceServer(database), cache=LanguageCache())
-        with pytest.raises(ValueError):
-            AsyncResilienceServer(ResilienceServer(database), parallel=False)
-        with AsyncResilienceServer(database, max_workers=2, parallel=False) as built:
-            assert built.server.database is database
+            AsyncResilienceServer(ThreadExchange(nodes=1), database=database, round_share=0)
+        # The front-end serves through an Exchange only: a database or a bare
+        # server is refused instead of being wrapped.
+        with pytest.raises(TypeError):
+            AsyncResilienceServer(database)
+        with pytest.raises(TypeError), ResilienceServer(database, parallel=False) as server:
+            AsyncResilienceServer(server)
 
         async def bad_deadline():
             async with AsyncResilienceServer(
-                ResilienceServer(database, parallel=False)
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
             ) as server:
                 await server.submit(MIXED, deadline=-1.0)
 
@@ -364,7 +375,8 @@ class TestAdmissionProperties:
             # canonical=False: equivalent queries keep their own syntax's
             # contingency sets, so each workload equals its fresh serial run.
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False, cache=LanguageCache(canonical=False)),
+                ThreadExchange(nodes=1, parallel=False, cache=LanguageCache(canonical=False)),
+                database=database,
                 max_queue_depth=bound,
                 round_share=share,
                 autostart=False,
@@ -431,7 +443,8 @@ class TestWeightedShares:
         # specs in 2 rounds; its default-weight peer (cap 2) needs 4.
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 round_share=2,
                 autostart=False,
             )
@@ -448,7 +461,8 @@ class TestWeightedShares:
     def test_share_weights_set_the_class_default(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 round_share=2,
                 share_weights={7: 3.0},
                 autostart=False,
@@ -466,7 +480,8 @@ class TestWeightedShares:
     def test_tiny_weight_floors_at_one_spec_per_round(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 round_share=4,
                 autostart=False,
             )
@@ -483,12 +498,15 @@ class TestWeightedShares:
     def test_invalid_weights_raise(self, database):
         with pytest.raises(ValueError):
             AsyncResilienceServer(
-                ResilienceServer(database, parallel=False), share_weights={0: 0.0}
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
+                share_weights={0: 0.0},
             )
 
         async def bad_weight():
             async with AsyncResilienceServer(
-                ResilienceServer(database, parallel=False)
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
             ) as server:
                 await server.submit(MIXED, weight=-1.0)
 
@@ -515,7 +533,8 @@ class TestWeightedShares:
 
         async def scenario_run():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
                 round_share=round_share,
                 max_queue_depth=16,
                 autostart=False,
@@ -549,7 +568,9 @@ class TestCancellation:
         # structured "error" outcomes instead of serving stale work.
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False), autostart=False
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
+                autostart=False,
             )
             with server:
                 stream = await server.submit(MIXED)
@@ -679,7 +700,8 @@ class TestFaultInjection:
         # replacement pool.
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, max_workers=2),
+                ThreadExchange(nodes=1, max_workers=2),
+                database=database,
                 autostart=False,
             )
             with server:
@@ -705,7 +727,7 @@ class TestFaultInjection:
         assert metrics.outcome_counts()[ERROR] == 2
 
     def test_closed_server_rejects_submit_cleanly(self, database):
-        server = AsyncResilienceServer(ResilienceServer(database, parallel=False))
+        server = AsyncResilienceServer(ThreadExchange(nodes=1, parallel=False), database=database)
         server.close()
 
         async def try_submit():
@@ -720,7 +742,9 @@ class TestFaultInjection:
     def test_close_fails_waiting_workloads_structurally(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False), autostart=False
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
+                autostart=False,
             )
             waiting = await server.submit(MIXED)
             await asyncio.get_running_loop().run_in_executor(None, server.close)
@@ -732,10 +756,11 @@ class TestFaultInjection:
         assert all("ServerClosed" in outcome.error for outcome in outcomes)
 
     def test_closing_the_async_server_closes_the_wrapped_server(self, database):
-        inner = ResilienceServer(database, parallel=False)
-        AsyncResilienceServer(inner).close()
+        exchange = ThreadExchange(nodes=1, parallel=False)
+        AsyncResilienceServer(exchange, database=database).close()
+        assert not any(snapshot.alive for snapshot in exchange.stats())
         with pytest.raises(ReproError):
-            inner.serve(MIXED)
+            exchange.submit(WorkloadEnvelope.single(Workload.coerce(MIXED), database))
 
 
 # ----------------------------------------------------------------- abandonment
@@ -745,9 +770,15 @@ class TestAbandonment:
     def test_abandoned_async_iterator_neither_wedges_nor_burns_the_tail(
         self, database, reference
     ):
+        # The gate holds the drain after round one until the consumer has
+        # abandoned; unheld, the drain can serve all 48 one-query rounds
+        # before the event loop runs the consumer's break.
+        exchange = GatedExchange(ThreadExchange(nodes=1, parallel=False))
+
         async def scenario():
             server = AsyncResilienceServer(
-                ResilienceServer(database, parallel=False),
+                exchange,
+                database=database,
                 round_share=1,
                 autostart=False,
             )
@@ -760,6 +791,7 @@ class TestAbandonment:
                 # Breaking leaves the generator suspended until GC; aclose()
                 # is the deterministic version of that finalization.
                 await big.aclose()
+                exchange.open()
                 # The next workload must be served with full parity.
                 follow_up = await collect(await server.submit(MIXED))
                 # Give the drain a moment to observe the abandonment, then
@@ -803,7 +835,8 @@ class TestMetrics:
     def test_snapshot_and_endpoint_agree(self, database):
         async def scenario():
             async with AsyncResilienceServer(
-                ResilienceServer(database, max_workers=2)
+                ThreadExchange(nodes=1, max_workers=2),
+                database=database,
             ) as server:
                 for _ in range(2):
                     await collect(await server.submit(MIXED))
@@ -829,6 +862,7 @@ class TestMetrics:
         assert programmatic.pool.chunks_dispatched > 0
         assert programmatic.pool.worker_pids == tuple(sorted(programmatic.pool.worker_pids))
         assert programmatic.admission.depth == 0
+        assert scraped["admission"]["admitted"] == {"0": 2}
 
     def test_latency_histograms_count_every_delivered_outcome(self, database):
         # Forcing "exact" on a query with positive resilience makes the
@@ -837,7 +871,8 @@ class TestMetrics:
 
         async def scenario():
             async with AsyncResilienceServer(
-                ResilienceServer(database, parallel=False)
+                ThreadExchange(nodes=1, parallel=False),
+                database=database,
             ) as server:
                 await collect(await server.submit(MIXED))
                 await collect(await server.submit([budgeted, "ab"]))
@@ -909,7 +944,8 @@ class TestPrometheusExposition:
     def test_scrape_parses_with_coherent_series(self, database):
         async def scenario():
             async with AsyncResilienceServer(
-                ResilienceServer(database, max_workers=2)
+                ThreadExchange(nodes=1, max_workers=2),
+                database=database,
             ) as server:
                 for _ in range(2):
                     await collect(await server.submit(MIXED))
@@ -984,16 +1020,6 @@ class TestPrometheusExposition:
             for i in range(2)
         ]
         assert sum(served) == 1, "one merged round, routed to one node"
-        # The single-node default labels its one node "local".
-        async def local_scenario():
-            async with AsyncResilienceServer(
-                ResilienceServer(database, parallel=False)
-            ) as server:
-                await collect(await server.submit(MIXED))
-                return server.metrics().to_prometheus()
-
-        local_samples, _ = parse_prometheus(run(local_scenario()))
-        assert local_samples['repro_node_alive{node="local"}'] == 1
 
     def test_degraded_serves_counter_is_exported(self, database, reference):
         """A dead launcher-less fleet degrades to the in-process serial

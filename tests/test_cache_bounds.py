@@ -111,12 +111,14 @@ class TestBoundedLru:
 
 class TestServerMetricsSurface:
     def test_prometheus_renders_gauges_without_total_suffix(self, database):
-        from repro.service import AsyncResilienceServer
+        from repro.service import AsyncResilienceServer, ThreadExchange
 
         cache = LanguageCache(max_entries=2)
         with ResilienceServer(database, parallel=False, cache=cache) as server:
             server.serve(DISTINCT)
-        async_server = AsyncResilienceServer(database, parallel=False, cache=cache)
+        async_server = AsyncResilienceServer(
+            ThreadExchange(nodes=1, parallel=False, cache=cache), database=database
+        )
         try:
             text = async_server.metrics().to_prometheus()
         finally:

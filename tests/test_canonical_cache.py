@@ -111,7 +111,9 @@ class TestStoreRoundTrip:
         directory = tmp_path_factory.mktemp("store")
         database = generators.random_labelled_graph(4, 9, ALPHABET, seed=1)
         queries = [language(expression) for expression in expressions]
-        cold = resilience_many(queries, database, store=AnalysisStore(directory))
+        cold = resilience_many(
+            queries, database, cache=LanguageCache(store=AnalysisStore(directory))
+        )
         warm_store = AnalysisStore(directory)
         warm_cache = LanguageCache(store=warm_store)
         warm = resilience_many(

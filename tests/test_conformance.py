@@ -110,26 +110,28 @@ def test_disk_store_cold_then_warm_pass_hits(database, store_directory, tmp_path
     warm_cache = LanguageCache(store=warm_store)
     warm = resilience_serve(workload, database, parallel=False, cache=warm_cache)
     assert warm == cold
+    assert warm == resilience_serve(workload, database, parallel=False)
     assert warm_store.stats().hits > 0
     assert warm_store.stats().writes == 0
     assert warm_cache.stats.classifications == 0
 
 
-def test_reference_flow_solver_is_outcome_identical(database, monkeypatch):
+def test_reference_flow_solver_is_outcome_identical(
+    database, substitute_reference_solver
+):
     """The min-cut solver is an execution strategy, never a semantic.
 
     The whole matrix runs once with the array-native solver and once with the
-    retained object-layer reference solver (``REPRO_FLOW_SOLVER=reference``);
+    retained object-layer reference solver substituted into the reductions;
     the outcome streams must be byte-identical — same values, same contingency
     sets, same details — because both solvers run on the identical compiled
     network and exact max flows have canonical cuts.
     """
     workload = Workload.coerce(MATRIX_QUERIES)
-    monkeypatch.delenv("REPRO_FLOW_SOLVER", raising=False)
     fast = resilience_serve(
         workload, database, parallel=False, cache=LanguageCache(canonical=False)
     )
-    monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
+    substitute_reference_solver()
     reference = resilience_serve(
         workload, database, parallel=False, cache=LanguageCache(canonical=False)
     )
@@ -137,20 +139,23 @@ def test_reference_flow_solver_is_outcome_identical(database, monkeypatch):
     assert [repr(outcome) for outcome in fast] == [repr(outcome) for outcome in reference]
 
 
-def test_reference_flow_solver_matches_through_the_warm_pool(database, monkeypatch):
-    """Same claim through the process pool: workers inherit the solver
-    selection from the parent's environment at fork time."""
+def test_reference_flow_solver_matches_through_the_warm_pool(
+    database, substitute_reference_solver
+):
+    """Same claim through a 2-worker pool: the substitution happens before
+    the pool forks, so the workers inherit the reference solver."""
     workload = Workload.coerce(MATRIX_QUERIES)
-    monkeypatch.delenv("REPRO_FLOW_SOLVER", raising=False)
     fast = resilience_serve(
         workload, database, parallel=False, cache=LanguageCache(canonical=False)
     )
-    monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
+    substitute_reference_solver()
     with ResilienceServer(
         database, max_workers=2, cache=LanguageCache(canonical=False)
     ) as server:
         pooled = server.serve(workload)
+        assert server.worker_pids(), "the matrix must have run on the pool"
     assert pooled == fast
+    assert [repr(outcome) for outcome in pooled] == [repr(outcome) for outcome in fast]
 
 
 def test_equivalent_queries_classify_once_with_identical_results(database):

@@ -22,7 +22,6 @@ from repro.service import (
     EnvelopePart,
     HealthMonitor,
     LanguageCache,
-    LocalExchange,
     NodeManager,
     RetryPolicy,
     Router,
@@ -281,7 +280,11 @@ def test_closed_exchange_refuses_submissions(set_db):
         exchange.submit(WorkloadEnvelope.single(Workload.coerce(["aa"]), set_db))
 
 
-def test_local_exchange_multi_part_remaps_indices(set_db):
+def test_single_node_exchange_multi_part_remaps_indices(set_db):
+    """One node serves every part of a same-database envelope; each part's
+    outcomes come back at their envelope-global indices."""
+    from dataclasses import replace
+
     workload = Workload.coerce(QUERIES)
     envelope = WorkloadEnvelope(
         parts=(
@@ -289,10 +292,14 @@ def test_local_exchange_multi_part_remaps_indices(set_db):
             EnvelopePart(workload=Workload.coerce(["aa"]), database=set_db),
         )
     )
-    with LocalExchange(set_db, parallel=False) as exchange:
+    with ThreadExchange(nodes=1, parallel=False) as exchange:
         outcomes = sorted_outcomes(exchange.submit(envelope))
     assert [outcome.index for outcome in outcomes] == list(range(len(QUERIES) + 1))
     assert outcomes[: len(QUERIES)] == reference(set_db)
+    (tail,) = resilience_serve(
+        ["aa"], set_db, parallel=False, cache=LanguageCache(canonical=False)
+    )
+    assert outcomes[-1] == replace(tail, index=len(QUERIES))
 
 
 # ---------------------------------------------------------------- HTTP fleet

@@ -9,8 +9,8 @@ Pins three claims:
   minimum cut (it disconnects, and its cost certifies minimality against the
   max flow);
 * the substrate compilers emit graphs whose solutions match both the retained
-  object-network builders and the reference solver mode, byte for byte where
-  it matters (values, cut facts, details);
+  object-network builders and the substituted reference solver, byte for byte
+  where it matters (values, cut facts, details);
 * substrates are built once per database and shared across queries.
 """
 
@@ -31,6 +31,7 @@ from repro.flow import (
     min_cut,
     min_cut_compiled,
     product_substrate,
+    reference_min_cut,
     solve_min_cut,
 )
 from repro.graphdb import GraphDatabase, generators
@@ -186,52 +187,79 @@ class TestCompiledReductionsMatchObjectNetworks:
     @pytest.mark.parametrize("expression", ["ax*b", "ab|bc", "abc|be"])
     @pytest.mark.parametrize("seed", range(4))
     def test_fast_and_reference_solver_results_are_identical(
-        self, expression, seed, monkeypatch
+        self, expression, seed, substitute_reference_solver
     ):
         database = generators.random_labelled_graph(5, 12, "abcxe", seed=seed)
         fast = resilience(expression, database)
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
+        substitute_reference_solver()
         reference = resilience(expression, database)
         assert fast == reference
 
     @pytest.mark.parametrize("solver", ["fast", "reference"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_local_solver_modes_agree_with_exact(self, solver, seed):
+    def test_local_solver_modes_agree_with_exact(
+        self, solver, seed, substitute_reference_solver
+    ):
         language = Language.from_regex("ax*b")
         database = generators.random_labelled_graph(5, 10, "axb", seed=seed)
-        result = resilience_local(language, database, solver=solver)
+        fast = resilience_local(language, database)
+        if solver == "reference":
+            substitute_reference_solver()
+        result = resilience_local(language, database)
         assert verify_contingency_set(language, database, result)
-        assert result == resilience_local(language, database, solver="fast")
+        assert result == fast
 
     @pytest.mark.parametrize("solver", ["fast", "reference"])
-    def test_bcl_solver_modes_agree(self, solver):
+    def test_bcl_solver_modes_agree(self, solver, substitute_reference_solver):
         language = Language.from_regex("ab|bc|b")
-        for seed in range(4):
-            bag = _random_bag(seed, alphabet="abc")
-            result = resilience_bcl(language, bag, solver=solver)
-            assert result == resilience_bcl(language, bag, solver="fast")
+        bags = [_random_bag(seed, alphabet="abc") for seed in range(4)]
+        fast = [resilience_bcl(language, bag) for bag in bags]
+        if solver == "reference":
+            substitute_reference_solver()
+        for bag, expected in zip(bags, fast):
+            result = resilience_bcl(language, bag)
+            assert result == expected
             assert verify_contingency_set(language, bag, result)
 
     @pytest.mark.parametrize("solver", ["fast", "reference"])
-    def test_one_dangling_solver_modes_agree(self, solver):
+    def test_one_dangling_solver_modes_agree(self, solver, substitute_reference_solver):
         language = Language.from_regex("abc|be")
-        for seed in range(4):
-            bag = _random_bag(seed, alphabet="abce")
-            result = resilience_one_dangling(language, bag, solver=solver)
-            assert result == resilience_one_dangling(language, bag, solver="fast")
+        bags = [_random_bag(seed, alphabet="abce") for seed in range(4)]
+        fast = [resilience_one_dangling(language, bag) for bag in bags]
+        if solver == "reference":
+            substitute_reference_solver()
+        for bag, expected in zip(bags, fast):
+            result = resilience_one_dangling(language, bag)
+            assert result == expected
             assert verify_contingency_set(language, bag, result)
 
-    def test_solver_env_override(self, monkeypatch):
-        from repro.exceptions import ReproError
-        from repro.flow import default_flow_solver
+    @pytest.mark.parametrize(
+        "expression, method",
+        [("ax*b", "local-flow"), ("ab|bc", "bcl-flow"), ("abc|be", "one-dangling-flow")],
+    )
+    def test_production_solves_with_the_array_dinic_only(
+        self, expression, method, monkeypatch, substitute_reference_solver
+    ):
+        """Each reduction solves with the array Dinic whatever the environment
+        says; only the substitution fixture routes it to the object oracle."""
+        from repro.flow import compiled
 
+        object_min_cut = compiled.min_cut
+        oracle_calls = []
+
+        def spy(network):
+            oracle_calls.append(network)
+            return object_min_cut(network)
+
+        monkeypatch.setattr(compiled, "min_cut", spy)
         monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
-        assert default_flow_solver() == "reference"
-        monkeypatch.setenv("REPRO_FLOW_SOLVER", "bogus")
-        with pytest.raises(ReproError):
-            default_flow_solver()
-        monkeypatch.delenv("REPRO_FLOW_SOLVER")
-        assert default_flow_solver() == "fast"
+        database = generators.random_labelled_graph(5, 12, "abcxe", seed=1)
+        fast = resilience(expression, database)
+        assert fast.method == method
+        assert oracle_calls == []
+        substitute_reference_solver()
+        assert resilience(expression, database) == fast
+        assert oracle_calls, "the substituted oracle must reach the reduction"
 
 
 class TestSubstrateReuse:
@@ -298,8 +326,8 @@ class TestSubstrateReuse:
         language = Language.from_regex("ax*b")
         automaton = read_once.read_once_automaton(language)
         graph = compile_product_graph(automaton, bag.index())
-        fast = solve_min_cut(graph, solver="fast")
-        reference = solve_min_cut(graph, solver="reference")
+        fast = solve_min_cut(graph)
+        reference = reference_min_cut(graph)
         assert fast.value == reference.value
         assert fast.cut_edges == reference.cut_edges
         assert fast.cut_keys == reference.cut_keys

@@ -153,13 +153,34 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             ResilienceServer(database, max_workers=0)
 
-    def test_cache_and_store_are_mutually_exclusive(self, database, tmp_path):
+    def test_store_is_configured_through_the_cache_only(self, database, tmp_path):
+        """``LanguageCache(store=...)`` is the one place to set the store: the
+        serving entry points take no ``store=``, and a warm pool built on such
+        a cache persists analyses that a second server reads back."""
+        from repro.resilience import resilience_many
         from repro.service import AnalysisStore
 
-        with pytest.raises(ValueError):
-            ResilienceServer(
-                database, cache=LanguageCache(), store=AnalysisStore(tmp_path)
-            )
+        store = AnalysisStore(tmp_path)
+        with pytest.raises(TypeError):
+            ResilienceServer(database, store=store)
+        with pytest.raises(TypeError):
+            resilience_serve(MIXED, database, parallel=False, store=store)
+        with pytest.raises(TypeError):
+            resilience_many(MIXED, database, store=store)
+
+        with ResilienceServer(
+            database, max_workers=2, cache=LanguageCache(store=store)
+        ) as server:
+            cold = server.serve(MIXED)
+        assert store.stats().writes > 0
+
+        warm_store = AnalysisStore(tmp_path)
+        warm_cache = LanguageCache(store=warm_store)
+        with ResilienceServer(database, max_workers=2, cache=warm_cache) as server:
+            assert server.serve(MIXED) == cold
+        assert warm_store.stats().hits > 0
+        assert warm_store.stats().writes == 0
+        assert warm_cache.stats.classifications == 0
 
     def test_explicit_database_must_match_the_warm_one(self, server, database):
         other = generators.random_labelled_graph(6, 16, "ab", seed=7)

@@ -29,6 +29,7 @@ import json
 import os
 import pickle
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -49,13 +50,13 @@ from repro.service import (
     ERROR,
     OK,
     AsyncResilienceServer,
+    Exchange,
     HttpExchange,
     LanguageCache,
     LatencyHistogram,
-    LocalExchange,
     NodeManager,
-    ResilienceServer,
     RetryPolicy,
+    ThreadExchange,
     resilience_serve,
 )
 from repro.traffic import (
@@ -314,7 +315,7 @@ class TestSoak:
 
         log_path = tmp_path / "http-soak.jsonl"
 
-        def soak():
+        def soak(tracker=None):
             runner = SoakRunner(
                 generate_traffic(profile),
                 exchange=build_exchange(),
@@ -322,11 +323,12 @@ class TestSoak:
                 requests_per_round=4,
                 keep_outcomes=True,
                 log_path=log_path,
+                leak_tracker=tracker,
             )
             report = runner.run()
             return report, [by_index(outcomes) for outcomes in runner.collected]
 
-        report, collected = soak()
+        report, collected = soak(LeakTracker())
         assert report.violations == () and report.leaks == ()
         assert report.chaos["network_faults"] == 4
         assert report.chaos["kills"] == 1
@@ -434,12 +436,28 @@ class TestSoak:
             SoakRunner(trace, requests_per_round=2, chaos=chaos).run()
 
     def test_kill_needs_a_routed_exchange(self):
+        class UnroutedExchange(Exchange):
+            """Serves serially, with no ``route_for`` or ``manager`` to aim a
+            kill at."""
+
+            def submit(self, envelope, *, cancel=None):
+                for offset, part in zip(envelope.offsets(), envelope.parts):
+                    for outcome in resilience_serve(
+                        part.workload, part.database, parallel=False
+                    ):
+                        yield replace(outcome, index=offset + outcome.index)
+
+            def stats(self):
+                return ()
+
+            def close(self):
+                pass
+
         trace = generate_traffic(small_profile(seed=2, requests=2))
-        database = trace.databases[trace.requests[0].database_key]
         chaos = ChaosSchedule((ChaosEvent(round=0, kind=KILL, after_outcomes=1),))
         runner = SoakRunner(
             trace,
-            exchange=LocalExchange(database, parallel=False),
+            exchange=UnroutedExchange(),
             chaos=chaos,
             requests_per_round=2,
             verify_parity=False,
@@ -502,9 +520,8 @@ class TestMetricsUnderLoad:
 
         database = generators.random_labelled_graph(5, 12, "abxy", seed=3)
         server = AsyncResilienceServer(
-            ResilienceServer(
-                database, parallel=False, cache=LanguageCache(canonical=False)
-            )
+            ThreadExchange(nodes=1, parallel=False, cache=LanguageCache(canonical=False)),
+            database=database,
         )
 
         async def stream_collect(stream):
