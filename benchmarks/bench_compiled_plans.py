@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from conftest import smoke_mode
 from repro.graphdb import generators
 from repro.languages import Language, compile_automaton
 from repro.resilience import resilience_exact, resilience_exact_reference, resilience_many
@@ -50,16 +51,20 @@ def test_exact_overlay_speedup_over_reference():
     # branch-and-bound workload, with identical values and node counts.
     # (The retained reference already uses the compiled evaluator; the seed's
     # original per-node automaton recompilation was slower still.)
+    # Each arm is timed best-of-N, alternating arms round by round, so one
+    # noisy round on a loaded runner cannot decide the ratio.
     language = Language.from_regex("aa")
     database = generators.random_labelled_graph(10, 30, "a", seed=3)
+    rounds = 3 if smoke_mode() else 5
+    overlay_seconds = reference_seconds = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fast = resilience_exact(language, database)
+        overlay_seconds = min(overlay_seconds, time.perf_counter() - start)
 
-    start = time.perf_counter()
-    fast = resilience_exact(language, database)
-    overlay_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    reference = resilience_exact_reference(language, database)
-    reference_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        reference = resilience_exact_reference(language, database)
+        reference_seconds = min(reference_seconds, time.perf_counter() - start)
 
     assert fast.value == reference.value
     assert fast.details["nodes_explored"] == reference.details["nodes_explored"]

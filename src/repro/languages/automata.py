@@ -8,15 +8,23 @@ epsilon label is represented by ``None``.
 States can be arbitrary hashable objects; :meth:`EpsilonNFA.relabel` renames
 them to consecutive integers when canonical names are convenient.
 
+Each automaton derives three indexes once, on first use: its epsilon-successor
+map, its ``(state, letter) -> targets`` step map and its trimmed form.  They are
+stored in the instance ``__dict__`` next to the five fields but take no part in
+equality, hashing or pickling (``__getstate__`` returns the fields only), so an
+automaton shipped to a worker or written to a store is the same bytes whether
+or not it was ever queried.  Filling an index is idempotent: two threads racing
+on one automaton at worst derive it twice.
+
 Evaluation-heavy callers (the product-construction RPQ evaluator and the exact
-resilience search) should not work on a raw :class:`EpsilonNFA`: every query on
-an automaton would re-trim it and re-derive epsilon closures and transition
-indexes.  :class:`CompiledAutomaton` performs that work once — trim, memoized
-epsilon closures, letter transitions indexed by ``(state, label)`` — and
+resilience search) should not work on a raw :class:`EpsilonNFA`: every step
+would re-derive epsilon closures, and frozenset iteration order is only
+reproducible within one process.  :class:`CompiledAutomaton` builds on the
+automaton's indexes once — the trimmed form, the memoized epsilon closure of
+every state, epsilon-closed letter steps indexed by ``(state, label)`` — and
 :func:`compile_automaton` caches compiled plans so equal automata share one
 plan.  All compiled indexes use a deterministic sorted order, making plan-based
-evaluation reproducible across processes (plain frozenset iteration is only
-reproducible within one process).
+evaluation reproducible across processes.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ Label = str | None
 Transition = tuple[State, Label, State]
 
 EPSILON_LABEL: Label = None
+
+_FIELDS = ("states", "initial", "final", "transitions", "alphabet")
+_TRIMMED = object()  # the ``_trimmed`` index of an automaton whose states are all useful
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,10 @@ class EpsilonNFA:
                 raise LanguageError(f"transition uses unknown state: {(source, target)}")
         if not self.initial <= self.states or not self.final <= self.states:
             raise LanguageError("initial/final states must be a subset of the states")
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The five fields only: the derived indexes never travel in a pickle.
+        return {name: self.__dict__[name] for name in _FIELDS}
 
     # ------------------------------------------------------------------ factory
 
@@ -210,35 +225,60 @@ class EpsilonNFA:
             result[transition[2]].append(transition)
         return dict(result)
 
+    # ------------------------------------------------------------------ derived indexes
+
+    def epsilon_successors(self) -> dict[State, list[State]]:
+        """Return ``state -> targets of its epsilon transitions`` (derived once).
+
+        States without an outgoing epsilon transition are absent, so the map is
+        empty exactly when the automaton is an NFA.  Callers must not mutate it.
+        """
+        index = self.__dict__.get("_epsilon_successors")
+        if index is None:
+            index = {}
+            for source, label, target in self.transitions:
+                if label is None:
+                    index.setdefault(source, []).append(target)
+            self.__dict__["_epsilon_successors"] = index
+        return index
+
+    def step_map(self) -> dict[tuple[State, str], list[State]]:
+        """Return ``(state, letter) -> targets of its letter transitions`` (derived once).
+
+        Pairs without a transition are absent.  Callers must not mutate it.
+        """
+        index = self.__dict__.get("_step_map")
+        if index is None:
+            index = {}
+            for source, label, target in self.transitions:
+                if label is not None:
+                    index.setdefault((source, label), []).append(target)
+            self.__dict__["_step_map"] = index
+        return index
+
     def epsilon_closure(self, states: Iterable[State]) -> frozenset[State]:
         """Return the set of states reachable from ``states`` via epsilon transitions."""
-        adjacency: dict[State, list[State]] = defaultdict(list)
-        for source, label, target in self.transitions:
-            if label is None:
-                adjacency[source].append(target)
+        successors = self.epsilon_successors()
         closure = set(states)
-        queue = deque(closure)
-        while queue:
-            state = queue.popleft()
-            for target in adjacency.get(state, ()):
-                if target not in closure:
-                    closure.add(target)
-                    queue.append(target)
+        if successors:
+            pending = list(closure)
+            while pending:
+                for target in successors.get(pending.pop(), ()):
+                    if target not in closure:
+                        closure.add(target)
+                        pending.append(target)
         return frozenset(closure)
 
     # ------------------------------------------------------------------ membership
 
     def accepts(self, word: str) -> bool:
         """Return whether ``word`` is in the language of the automaton."""
-        step: dict[tuple[State, str], set[State]] = defaultdict(set)
-        for source, label, target in self.transitions:
-            if label is not None:
-                step[(source, label)].add(target)
+        step = self.step_map()
         current = self.epsilon_closure(self.initial)
         for letter in word:
             successors: set[State] = set()
             for state in current:
-                successors |= step.get((state, letter), set())
+                successors.update(step.get((state, letter), ()))
             if not successors:
                 return False
             current = self.epsilon_closure(successors)
@@ -250,7 +290,22 @@ class EpsilonNFA:
     # ------------------------------------------------------------------ structural transformations
 
     def trim(self) -> "EpsilonNFA":
-        """Return the trimmed automaton keeping only useful states (Definition C.3)."""
+        """Return the trimmed automaton keeping only useful states (Definition C.3).
+
+        Derived once per automaton; ``self`` when every state is useful.
+        """
+        trimmed = self.__dict__.get("_trimmed")
+        if trimmed is None:
+            trimmed = self._trim()
+            # A trimmed automaton is its own trimmed form.  A marker records
+            # that instead of a reference to itself, so dropped automata are
+            # freed at once rather than by the cycle collector.
+            if trimmed is not self:
+                trimmed.__dict__["_trimmed"] = _TRIMMED
+            self.__dict__["_trimmed"] = _TRIMMED if trimmed is self else trimmed
+        return self if trimmed is _TRIMMED else trimmed
+
+    def _trim(self) -> "EpsilonNFA":
         forward: dict[State, list[State]] = defaultdict(list)
         backward: dict[State, list[State]] = defaultdict(list)
         for source, _, target in self.transitions:
@@ -273,13 +328,17 @@ class EpsilonNFA:
         useful = accessible & co_accessible
         if not useful:
             return EpsilonNFA.empty_language(self.alphabet)
+        if len(useful) == len(self.states):
+            return self
         transitions = [t for t in self.transitions if t[0] in useful and t[2] in useful]
         return EpsilonNFA.build(
             useful, self.initial & useful, self.final & useful, transitions, self.alphabet
         )
 
     def remove_epsilon(self) -> "EpsilonNFA":
-        """Return an equivalent NFA without epsilon transitions."""
+        """Return an equivalent NFA without epsilon transitions (``self`` if it has none)."""
+        if not self.epsilon_successors():
+            return self
         closures = {state: self.epsilon_closure([state]) for state in self.states}
         new_final = {
             state for state in self.states if closures[state] & self.final

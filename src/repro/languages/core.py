@@ -284,8 +284,8 @@ class Language:
 
     def __hash__(self) -> int:
         # Languages are mutable only in their caches; hash on the canonical
-        # minimal DFA would be expensive, so hash on the alphabet and finiteness
-        # and rely on __eq__ for collisions (hash collisions are acceptable).
+        # minimal DFA would be expensive, so hash on the alphabet alone and
+        # rely on __eq__ for collisions (hash collisions are acceptable).
         return hash((self.alphabet,))
 
     def __repr__(self) -> str:

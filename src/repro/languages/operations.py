@@ -6,7 +6,17 @@ subset-construction determinization, completion, complementation, product
 emptiness, finiteness, and enumeration of the words of a finite language.
 
 All functions are pure: they take :class:`~repro.languages.automata.EpsilonNFA`
-instances and return new ones.
+instances and return new ones.  They read each automaton's derived indexes
+(epsilon successors, step map, trimmed form) instead of rescanning its
+transitions.
+
+The yes/no questions never build an automaton.  :func:`equivalent` and
+:func:`contains_language` run one breadth-first subset exploration over both
+automata and stop at the first pair of subsets that disagrees on acceptance;
+:func:`is_empty` is a reachability test.  :func:`difference` builds its result
+on the fly from the reachable pairs of a left state and an epsilon-closed set of
+right states, the empty set playing the sink of the complemented right
+automaton.  :func:`product` therefore only serves :func:`intersection`.
 
 The canonicalization helpers at the bottom (:func:`canonical_dfa`,
 :func:`canonical_fingerprint`) turn an automaton into the *unique* minimal
@@ -19,13 +29,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import count
 
 from ..exceptions import LanguageError, NotFiniteError
 from .automata import EpsilonNFA, State
 
 _SINK = "__sink__"
+_EMPTY: frozenset[State] = frozenset()
 
 
 # --------------------------------------------------------------------------- determinization
@@ -37,11 +48,7 @@ def determinize(automaton: EpsilonNFA) -> EpsilonNFA:
     The resulting DFA is *not* complete: missing transitions mean rejection.
     States of the result are frozensets of states of the input.
     """
-    step: dict[tuple[State, str], set[State]] = {}
-    for source, label, target in automaton.transitions:
-        if label is not None:
-            step.setdefault((source, label), set()).add(target)
-
+    step = automaton.step_map()
     start = automaton.epsilon_closure(automaton.initial)
     states: set[frozenset[State]] = {start}
     transitions: list[tuple[frozenset[State], str, frozenset[State]]] = []
@@ -52,7 +59,7 @@ def determinize(automaton: EpsilonNFA) -> EpsilonNFA:
         for letter in alphabet:
             successors: set[State] = set()
             for state in current:
-                successors |= step.get((state, letter), set())
+                successors.update(step.get((state, letter), ()))
             if not successors:
                 continue
             closure = automaton.epsilon_closure(successors)
@@ -100,22 +107,13 @@ def complement(automaton: EpsilonNFA, alphabet: Iterable[str] | None = None) -> 
 # --------------------------------------------------------------------------- boolean combinations
 
 
-def product(left: EpsilonNFA, right: EpsilonNFA, *, mode: str = "intersection") -> EpsilonNFA:
-    """Return the product automaton of two automata.
-
-    ``mode`` selects the acceptance condition: ``"intersection"`` accepts when
-    both components accept, ``"difference"`` when the left accepts and the right
-    does not (the right automaton must then be a complete DFA).
-    """
+def product(left: EpsilonNFA, right: EpsilonNFA) -> EpsilonNFA:
+    """Return the product automaton of two automata, accepting ``L(left) & L(right)``."""
     left_nfa = left.remove_epsilon()
     right_nfa = right.remove_epsilon()
     alphabet = left_nfa.alphabet | right_nfa.alphabet
-    left_step: dict[tuple[State, str], set[State]] = {}
-    for source, label, target in left_nfa.transitions:
-        left_step.setdefault((source, label), set()).add(target)
-    right_step: dict[tuple[State, str], set[State]] = {}
-    for source, label, target in right_nfa.transitions:
-        right_step.setdefault((source, label), set()).add(target)
+    left_step = left_nfa.step_map()
+    right_step = right_nfa.step_map()
 
     start = {(l, r) for l in left_nfa.initial for r in right_nfa.initial}
     states: set[tuple[State, State]] = set(start)
@@ -125,8 +123,8 @@ def product(left: EpsilonNFA, right: EpsilonNFA, *, mode: str = "intersection") 
         current = queue.popleft()
         l_state, r_state = current
         for letter in alphabet:
-            l_targets = left_step.get((l_state, letter), set())
-            r_targets = right_step.get((r_state, letter), set())
+            l_targets = left_step.get((l_state, letter), ())
+            r_targets = right_step.get((r_state, letter), ())
             for l_target in l_targets:
                 for r_target in r_targets:
                     nxt = (l_target, r_target)
@@ -134,22 +132,13 @@ def product(left: EpsilonNFA, right: EpsilonNFA, *, mode: str = "intersection") 
                     if nxt not in states:
                         states.add(nxt)
                         queue.append(nxt)
-    if mode == "intersection":
-        final = {
-            (l, r) for (l, r) in states if l in left_nfa.final and r in right_nfa.final
-        }
-    elif mode == "difference":
-        final = {
-            (l, r) for (l, r) in states if l in left_nfa.final and r not in right_nfa.final
-        }
-    else:  # pragma: no cover - defensive
-        raise LanguageError(f"unknown product mode: {mode}")
+    final = {(l, r) for (l, r) in states if l in left_nfa.final and r in right_nfa.final}
     return EpsilonNFA.build(states, start, final, transitions, alphabet)
 
 
 def intersection(left: EpsilonNFA, right: EpsilonNFA) -> EpsilonNFA:
     """Return an automaton for ``L(left) & L(right)``."""
-    return product(left, right, mode="intersection")
+    return product(left, right)
 
 
 def union(left: EpsilonNFA, right: EpsilonNFA) -> EpsilonNFA:
@@ -177,11 +166,71 @@ def union(left: EpsilonNFA, right: EpsilonNFA) -> EpsilonNFA:
     )
 
 
+def _subset_mover(automaton: EpsilonNFA) -> Callable[[frozenset[State], str], frozenset[State]]:
+    """Return the subset-construction move of ``automaton``.
+
+    ``move(subset, letter)`` is the epsilon closure of the ``letter``-successors
+    of ``subset``: the transition of the (incomplete) determinized automaton,
+    with the empty set standing for its missing sink.  Each returned mover
+    memoizes its moves, since one subset recurs in many explored pairs.
+    """
+    step = automaton.step_map()
+    closure = automaton.epsilon_closure
+    moves: dict[tuple[frozenset[State], str], frozenset[State]] = {}
+
+    def move(subset: frozenset[State], letter: str) -> frozenset[State]:
+        key = (subset, letter)
+        target = moves.get(key)
+        if target is None:
+            successors: set[State] = set()
+            for state in subset:
+                successors.update(step.get((state, letter), ()))
+            target = moves[key] = closure(successors) if successors else _EMPTY
+        return target
+
+    return move
+
+
 def difference(left: EpsilonNFA, right: EpsilonNFA) -> EpsilonNFA:
-    """Return an automaton for ``L(left) \\ L(right)``."""
+    """Return an automaton for ``L(left) \\ L(right)``.
+
+    The states are the reachable pairs of a ``left`` state and an
+    epsilon-closed set of ``right`` states; the empty set is the sink of the
+    complemented ``right``.  ``left`` is read epsilon-free: a pair steps from
+    any state of its left state's epsilon closure.
+    """
     alphabet = left.alphabet | right.alphabet
-    right_complete = complete(determinize(right), alphabet)
-    return product(left, right_complete, mode="difference")
+    letters = sorted(alphabet)
+    left_step = left.step_map()
+    left_closure = left.epsilon_closure
+    right_move = _subset_mover(right)
+
+    right_start = right.epsilon_closure(right.initial)
+    start = {(state, right_start) for state in left.initial}
+    states: set[tuple[State, frozenset[State]]] = set(start)
+    transitions: list[tuple[tuple[State, frozenset[State]], str, tuple[State, frozenset[State]]]] = []
+    final: set[tuple[State, frozenset[State]]] = set()
+    queue = deque(start)
+    while queue:
+        current = queue.popleft()
+        l_state, r_subset = current
+        l_closure = left_closure((l_state,))
+        if not l_closure.isdisjoint(left.final) and r_subset.isdisjoint(right.final):
+            final.add(current)
+        for letter in letters:
+            l_targets: set[State] = set()
+            for state in l_closure:
+                l_targets.update(left_step.get((state, letter), ()))
+            if not l_targets:
+                continue
+            r_target = right_move(r_subset, letter)
+            for l_target in l_targets:
+                nxt = (l_target, r_target)
+                transitions.append((current, letter, nxt))
+                if nxt not in states:
+                    states.add(nxt)
+                    queue.append(nxt)
+    return EpsilonNFA.build(states, start, final, transitions, alphabet)
 
 
 def concatenation(left: EpsilonNFA, right: EpsilonNFA) -> EpsilonNFA:
@@ -266,28 +315,72 @@ def minimize(automaton: EpsilonNFA) -> EpsilonNFA:
     return EpsilonNFA.build(classes, [partition_of[initial_state]], final, transitions, dfa.alphabet)
 
 
+def _disagreement(left: EpsilonNFA, right: EpsilonNFA, *, both_ways: bool) -> bool:
+    """Return whether some word is accepted by ``left`` but not ``right``.
+
+    With ``both_ways`` the converse also counts.  One breadth-first exploration
+    of the reachable pairs of epsilon-closed subsets (the product of the two
+    determinized automata, built on the fly) stops at the first pair that
+    disagrees on acceptance.
+    """
+    letters = sorted(left.alphabet | right.alphabet)
+    left_move = _subset_mover(left)
+    right_move = _subset_mover(right)
+    left_final, right_final = left.final, right.final
+    start = (left.epsilon_closure(left.initial), right.epsilon_closure(right.initial))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        l_subset, r_subset = queue.popleft()
+        l_accepts = not l_subset.isdisjoint(left_final)
+        if l_accepts != (not r_subset.isdisjoint(right_final)) and (l_accepts or both_ways):
+            return True
+        for letter in letters:
+            l_target = left_move(l_subset, letter)
+            if not l_target and not both_ways:
+                continue  # left accepts nothing from here on
+            pair = (l_target, right_move(r_subset, letter))
+            if pair not in seen and (l_target or pair[1]):
+                seen.add(pair)
+                queue.append(pair)
+    return False
+
+
 def equivalent(left: EpsilonNFA, right: EpsilonNFA) -> bool:
     """Return whether two automata recognize the same language."""
-    alphabet = left.alphabet | right.alphabet
-    left_minus_right = difference(left.with_alphabet(alphabet), right.with_alphabet(alphabet))
-    if not is_empty(left_minus_right):
-        return False
-    right_minus_left = difference(right.with_alphabet(alphabet), left.with_alphabet(alphabet))
-    return is_empty(right_minus_left)
+    return not _disagreement(left, right, both_ways=True)
 
 
 def contains_language(larger: EpsilonNFA, smaller: EpsilonNFA) -> bool:
     """Return whether ``L(smaller)`` is a subset of ``L(larger)``."""
-    alphabet = larger.alphabet | smaller.alphabet
-    return is_empty(difference(smaller.with_alphabet(alphabet), larger.with_alphabet(alphabet)))
+    return not _disagreement(smaller, larger, both_ways=False)
 
 
 # --------------------------------------------------------------------------- emptiness / finiteness / enumeration
 
 
 def is_empty(automaton: EpsilonNFA) -> bool:
-    """Return whether the language of the automaton is empty."""
-    return not automaton.trim().final
+    """Return whether the language of the automaton is empty (no final state is reachable)."""
+    final = automaton.final
+    if not final:
+        return True
+    epsilon = automaton.epsilon_successors()
+    step = automaton.step_map()
+    letters = automaton.alphabet
+    seen = set(automaton.initial)
+    pending = list(seen)
+    while pending:
+        state = pending.pop()
+        if state in final:
+            return False
+        targets = list(epsilon.get(state, ()))
+        for letter in letters:
+            targets.extend(step.get((state, letter), ()))
+        for target in targets:
+            if target not in seen:
+                seen.add(target)
+                pending.append(target)
+    return True
 
 
 def is_finite(automaton: EpsilonNFA) -> bool:
@@ -375,10 +468,10 @@ def enumerate_finite_language(automaton: EpsilonNFA, limit: int | None = None) -
     trimmed = automaton.trim()
     if not trimmed.final:
         return frozenset()
-    step: dict[State, list[tuple[str, State]]] = {}
-    for source, label, target in trimmed.remove_epsilon().transitions:
-        step.setdefault(source, []).append((label, target))
     nfa = trimmed.remove_epsilon()
+    step: dict[State, list[tuple[str, State]]] = {}
+    for source, label, target in nfa.transitions:
+        step.setdefault(source, []).append((label, target))
     words: set[str] = set()
 
     stack: list[tuple[State, str]] = [(state, "") for state in nfa.initial]

@@ -29,6 +29,7 @@ single crash usually costs latency, not answers, and never the server.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections.abc import Iterable, Iterator, Mapping
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, ProcessPoolExecutor, wait
@@ -194,6 +195,10 @@ class ResilienceServer:
         self._pool: ProcessPoolExecutor | None = None
         self._pool_width = 0
         self._closed = False
+        # Orders close() against a stream forking a pool on another thread
+        # (a node kill closes servers while their streams run).  Reentrant:
+        # _ensure_pool discards a stale pool while holding it.
+        self._pool_lock = threading.RLock()
         self._pools_created = 0
         self._chunks_dispatched = 0
         self._chunks_retried = 0
@@ -245,8 +250,11 @@ class ResilienceServer:
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent); the server refuses further calls."""
+        # Closed before the pool goes: a stream that forks after this point
+        # raises instead of leaving a pool nothing would shut down.
+        with self._pool_lock:
+            self._closed = True
         self._discard_pool(wait=True)
-        self._closed = True
 
     def __enter__(self) -> "ResilienceServer":
         return self
@@ -255,8 +263,9 @@ class ResilienceServer:
         self.close()
 
     def _discard_pool(self, *, wait: bool) -> None:
-        pool, self._pool = self._pool, None
-        self._pool_width = 0
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            self._pool_width = 0
         if pool is not None:
             pool.shutdown(wait=wait, cancel_futures=True)
 
@@ -269,27 +278,31 @@ class ResilienceServer:
         sized for — growth re-forks once, but a small warm-up call must not
         cap throughput for the rest of the session.  The pool never shrinks.
 
-        Raises :class:`~repro.exceptions.ReproError` on a closed server (a
-        generator resumed after :meth:`close` must never fork a pool nothing
-        would shut down; the ``_closed`` guards in :meth:`_stream` make this
-        a backstop, not a path).
+        Raises :class:`~repro.exceptions.ReproError` on a closed server: a
+        generator resumed after :meth:`close`, or a stream racing a
+        :meth:`close` on another thread (a node kill), must never fork a pool
+        nothing would shut down.  The ``_closed`` guards in :meth:`_stream`
+        cover the first case; the pool lock makes the check and the fork one
+        step for the second, whose exception the exchange turns into a
+        re-route.
         """
-        if self._closed:
-            raise ReproError("this ResilienceServer is closed")
-        width = max(1, min(self._max_workers, task_count))
-        if self._pool is not None and (
-            getattr(self._pool, "_broken", False) or self._pool_width < width
-        ):
-            self._discard_pool(wait=False)
-        if self._pool is None:
-            self._pool_width = width
-            self._pools_created += 1
-            self._pool = ProcessPoolExecutor(
-                max_workers=width,
-                initializer=_worker_init,
-                initargs=(self._database, self._cancel_flags),
-            )
-        return self._pool
+        with self._pool_lock:
+            if self._closed:
+                raise ReproError("this ResilienceServer is closed")
+            width = max(1, min(self._max_workers, task_count))
+            if self._pool is not None and (
+                getattr(self._pool, "_broken", False) or self._pool_width < width
+            ):
+                self._discard_pool(wait=False)
+            if self._pool is None:
+                self._pool_width = width
+                self._pools_created += 1
+                self._pool = ProcessPoolExecutor(
+                    max_workers=width,
+                    initializer=_worker_init,
+                    initargs=(self._database, self._cancel_flags),
+                )
+            return self._pool
 
     def _check_serveable(self, database: AnyDatabase | None) -> None:
         if self._closed:

@@ -621,11 +621,13 @@ class TestCancellation:
         assert indices == list(range(len(MIXED)))
 
     def test_deadline_token_rejects_the_tail_mid_stream(self, database):
-        token = CancellationToken(deadline_at=time.monotonic() + 0.05)
+        # The deadline passes between next() calls, however long planning and
+        # the first execution took.
+        token = CancellationToken()
         with ResilienceServer(database, parallel=False) as server:
             iterator = server.serve_iter(MIXED, cancel=token)
             first = next(iterator)
-            time.sleep(0.06)
+            token.deadline_at = time.monotonic() - 1.0
             tail = list(iterator)
         assert first.ok
         assert all(outcome.status == ADMISSION_REJECTED for outcome in tail)
@@ -801,7 +803,8 @@ class TestAbandonment:
 
         follow_up, delivered = run(scenario())
         assert sorted_outcomes(follow_up) == reference
-        assert delivered < len(MIXED) * 8 + len(MIXED), (
+        # The gate lets exactly one round of the abandoned workload through.
+        assert delivered == 1 + len(MIXED), (
             "the abandoned workload's tail must not keep being served"
         )
 

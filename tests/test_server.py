@@ -12,6 +12,8 @@ The server's contract has three parts the serving tests don't cover:
 """
 
 import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -113,6 +115,36 @@ class TestWidth:
         assert len(remainder) == len(MIXED)
         assert all(outcome.status == ERROR for outcome in remainder)
         assert all("PoolShutDown" in outcome.error for outcome in remainder)
+
+    def test_close_racing_a_stream_on_another_thread_never_leaves_a_pool(self, database):
+        # Regression: a node kill closes its servers from another thread.
+        # close() used to mark the server closed only after the old pool had
+        # shut down, so a stream forking meanwhile got a pool nothing would
+        # ever shut down.  Hold close() inside that shutdown and fork then.
+        server = ResilienceServer(database, max_workers=2)
+        in_shutdown, release = threading.Event(), threading.Event()
+
+        class PoolShuttingDown:
+            def shutdown(self, wait, cancel_futures):
+                in_shutdown.set()
+                release.wait(30)
+
+        server._pool = PoolShuttingDown()
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        try:
+            assert in_shutdown.wait(30)
+            with pytest.raises(ReproError):
+                server._ensure_pool(2)
+        finally:
+            release.set()
+            closer.join(30)
+            leaked = server._pool
+            if isinstance(leaked, ProcessPoolExecutor):
+                leaked.shutdown(wait=True)
+        assert not closer.is_alive()
+        assert leaked is None
+        assert server.pool_stats().pools_created == 0
 
     def test_resuming_serve_iter_after_close_drains_instead_of_hanging(self, database):
         # Regression: close() between resumptions used to leave the generator

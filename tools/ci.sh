@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Single CI entry point: the analysis gate, tier-1 tests, the leak-sanitized
-# serving suites, the on-disk store runs, the warm CLI, and the benchmark
-# smoke pass with its artefact guards.  What the serving stack must answer
-# (serve parity, solver differential, soaks, kill recovery, metrics scrape,
-# warm stores) is asserted by tier-1; this script only sequences invocations.
+# Single CI entry point: the analysis gate, tier-1 tests, the serving
+# benchmark's self-tests, the leak-sanitized serving suites, the on-disk store
+# runs, the warm CLI, and the benchmark smoke pass with its artefact guards.
+# What the serving stack must answer (serve parity, solver differential,
+# soaks, kill recovery, metrics scrape, warm stores) is asserted by tier-1;
+# this script only sequences invocations.
 #
 #   tools/ci.sh            # run everything
 #   tools/ci.sh -k mincut  # extra args are forwarded to bench_smoke.py
@@ -37,6 +38,9 @@ echo "ci: analysis negative check ok (seeded violation rejected)"
 
 echo "ci: tier-1 test suite"
 python -m pytest -x -q
+
+echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
+python -m pytest -q perfbench/selftest.py
 
 echo "ci: leak-sanitized service/exchange/traffic suites (threads, processes, sockets, temp dirs)"
 REPRO_LEAK_SANITIZER=on python -m pytest -q tests/test_server.py tests/test_async_server.py tests/test_exchange.py tests/test_traffic.py
