@@ -22,7 +22,11 @@ The canonicalization helpers at the bottom (:func:`canonical_dfa`,
 :func:`canonical_fingerprint`) turn an automaton into the *unique* minimal
 complete DFA of its language with a deterministic state numbering, which makes
 language equivalence decidable by string comparison of fingerprints — the key
-the cross-instance analysis caches are built on.
+the cross-instance analysis caches and the on-disk stores are built on.  Both
+read one set of integer tables (bitmask subset construction, Moore refinement
+on integer rows, BFS numbering); the fingerprint hashes them without building
+an automaton.  :func:`minimize` stays the automaton-level construction for
+callers that want the minimal DFA itself.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable
 from itertools import count
+from operator import or_
 
 from ..exceptions import LanguageError, NotFiniteError
 from .automata import EpsilonNFA, State
@@ -516,6 +521,104 @@ def max_word_length(automaton: EpsilonNFA) -> int:
 # --------------------------------------------------------------------------- canonicalization
 
 
+def _canonical_tables(automaton: EpsilonNFA) -> tuple:
+    """Return the canonical minimal complete DFA of the language as tables.
+
+    The result is ``(letters, size, initial, final, transitions)``: the
+    sorted alphabet, the state count, ``(0,)``, the sorted final states and
+    the sorted ``(source, letter, target)`` triples.  States are ``0..n-1``
+    in BFS order from the initial state, exploring letters in sorted order.
+    A complete DFA has one transition per state and letter, so listing them
+    state by state in letter order sorts them.
+
+    The subset construction runs over ``automaton.trim()`` with subsets held
+    as bitmasks over the trimmed states (numbered in frozenset order, which
+    only this function sees); each state's epsilon closure and each
+    (state, letter) closed move are precomputed masks, and the empty subset
+    is the sink.  Moore refinement then merges equivalent subsets on integer
+    rows, and the BFS numbering makes the result independent of every
+    internal order.
+    """
+    trimmed = automaton.trim()
+    letters = sorted(automaton.alphabet)
+    index = {state: position for position, state in enumerate(trimmed.states)}
+    successors = trimmed.epsilon_successors()
+    epsilon = [[index[target] for target in successors.get(state, ())] for state in trimmed.states]
+    closures: list[int] = []
+    for position in range(len(epsilon)):
+        mask, pending = 1 << position, [position]
+        while pending:
+            for target in epsilon[pending.pop()]:
+                if not mask >> target & 1:
+                    mask |= 1 << target
+                    pending.append(target)
+        closures.append(mask)
+    column = {letter: number for number, letter in enumerate(letters)}
+    moves = [[0] * len(letters) for _ in closures]
+    for (source, letter), targets in trimmed.step_map().items():
+        mask = 0
+        for target in targets:
+            mask |= closures[index[target]]
+        moves[index[source]][column[letter]] = mask
+    final_mask = 0
+    for state in trimmed.final:
+        final_mask |= 1 << index[state]
+    start = 0
+    for state in trimmed.initial:
+        start |= closures[index[state]]
+
+    # Subset construction: ``subsets`` grows while it is iterated.
+    number = {start: 0}
+    subsets = [start]
+    rows: list[list[int]] = []
+    sink = [0] * len(letters)
+    for subset in subsets:
+        lowest = subset & -subset
+        targets = moves[lowest.bit_length() - 1] if subset else sink
+        rest = subset ^ lowest
+        while rest:
+            lowest = rest & -rest
+            targets = list(map(or_, targets, moves[lowest.bit_length() - 1]))
+            rest ^= lowest
+        row = []
+        for target in targets:
+            target_number = number.get(target)
+            if target_number is None:
+                target_number = number[target] = len(subsets)
+                subsets.append(target)
+            row.append(target_number)
+        rows.append(row)
+
+    # Moore refinement: split classes by their rows until no class splits.
+    accepting = [bool(subset & final_mask) for subset in subsets]
+    partition = [int(flag) for flag in accepting]
+    classes = len(set(partition))
+    while True:
+        signatures: dict[tuple, int] = {}
+        refined = [
+            signatures.setdefault((partition[state], *map(partition.__getitem__, row)), len(signatures))
+            for state, row in enumerate(rows)
+        ]
+        if len(signatures) == classes:
+            break
+        partition, classes = refined, len(signatures)
+
+    # BFS numbering of the classes from the initial one, by one
+    # representative subset each; ``representatives`` grows while iterated.
+    canonical = {partition[0]: 0}
+    representatives = [0]
+    transitions = []
+    for source, representative in enumerate(representatives):
+        for letter, target in zip(letters, rows[representative]):
+            target_number = canonical.get(partition[target])
+            if target_number is None:
+                target_number = canonical[partition[target]] = len(representatives)
+                representatives.append(target)
+            transitions.append((source, letter, target_number))
+    final = tuple(state for state, representative in enumerate(representatives) if accepting[representative])
+    return tuple(letters), len(representatives), (0,), final, tuple(transitions)
+
+
 def canonical_dfa(automaton: EpsilonNFA) -> EpsilonNFA:
     """Return the canonical minimal complete DFA of the language.
 
@@ -527,31 +630,8 @@ def canonical_dfa(automaton: EpsilonNFA) -> EpsilonNFA:
     complete DFA of, say, ``a`` over ``{a}`` and over ``{a, b}`` differ by the
     sink behaviour on ``b``.
     """
-    dfa = minimize(automaton)
-    table = {(source, label): target for source, label, target in dfa.letter_transitions}
-    (start,) = dfa.initial
-    alphabet = sorted(dfa.alphabet)
-    order: list[State] = [start]
-    seen: set[State] = {start}
-    for state in order:  # ``order`` grows while iterating: BFS without a queue.
-        for letter in alphabet:
-            target = table.get((state, letter))
-            if target is not None and target not in seen:
-                seen.add(target)
-                order.append(target)
-    # Every class of the minimal complete DFA is reachable from the initial
-    # state, so ``order`` covers all states; keep a deterministic fallback
-    # anyway so a malformed input cannot produce an unstable numbering.
-    for state in sorted(dfa.states - seen, key=repr):
-        order.append(state)
-    mapping = {state: index for index, state in enumerate(order)}
-    return EpsilonNFA.build(
-        mapping.values(),
-        [mapping[start]],
-        (mapping[state] for state in dfa.final),
-        ((mapping[s], label, mapping[t]) for s, label, t in dfa.letter_transitions),
-        dfa.alphabet,
-    )
+    _, size, initial, final, transitions = _canonical_tables(automaton)
+    return EpsilonNFA.build(range(size), initial, final, transitions, automaton.alphabet)
 
 
 def canonical_fingerprint(automaton: EpsilonNFA) -> str:
@@ -561,17 +641,10 @@ def canonical_fingerprint(automaton: EpsilonNFA) -> str:
     language-equivalent (no hashing caveat in practice: a SHA-256 collision
     would require adversarially constructed inputs).  The fingerprint is stable
     across processes and interpreter versions, so it can key persistent caches.
+    It hashes the ``repr`` of the canonical DFA's tables, which builds no
+    automaton.
     """
-    dfa = canonical_dfa(automaton)
-    payload = repr(
-        (
-            tuple(sorted(dfa.alphabet)),
-            len(dfa.states),
-            tuple(sorted(dfa.initial)),
-            tuple(sorted(dfa.final)),
-            tuple(sorted(dfa.letter_transitions)),
-        )
-    )
+    payload = repr(_canonical_tables(automaton))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

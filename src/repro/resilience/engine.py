@@ -635,6 +635,11 @@ class LanguageCache:
         result layer failed to serve, so this is also where ``result_misses``
         is counted — ``result_hits / (result_hits + result_misses)`` is then
         the hit rate over cacheable traffic exactly.
+
+        The result store is written only for a result new to this session.
+        A key the in-memory layer already holds came from a store hit or an
+        earlier write-back, so the disk already has an equal result; the
+        budgeted specs that still execute (they never hit) do not rewrite it.
         """
         key = self._result_key(
             language, database, semantics=semantics, method=method, unsafe=unsafe
@@ -642,8 +647,7 @@ class LanguageCache:
         if key is None:
             return
         self.stats.result_misses += 1
-        self._results.setdefault(key, result)
-        if self._result_store is not None:
+        if self._results.setdefault(key, result) is result and self._result_store is not None:
             self._result_store.put(key, result)
         self._refresh_gauges()
 

@@ -236,6 +236,6 @@ def _map_back_contingency(
                 if rewrite.x_fact_mapping[original] in primed_contingency:
                     contingency.add(original)
     for fact in primed_contingency:
-        if fact.label not in (x_letter, rewrite.z_letter) and fact in bag.facts:
+        if fact.label not in (x_letter, rewrite.z_letter) and fact in bag:
             contingency.add(fact)
     return contingency

@@ -75,6 +75,12 @@ def _nudge_pool(pool: ProcessPoolExecutor | None) -> None:
     ``except``) wakeup pipe makes the management thread re-run its
     pending-work scan; sent under ``_shutdown_lock`` exactly like
     ``submit`` does, and harmless when the race never happened.
+
+    The nudge stays on for every Python version.  On an interpreter with
+    the fix it costs one extra pending-work scan, and only after
+    :data:`WAKEUP_NUDGE_SECONDS` without progress; a version gate that named
+    the first fixed release wrongly (fixes are backported to maintenance
+    branches) would leave a stalled stream with no way to recover.
     """
     if pool is None:
         return

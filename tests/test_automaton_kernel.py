@@ -5,8 +5,14 @@ reachable subset pairs instead of materializing complete DFAs and products.
 These tests hold them against the materializing constructions (determinize,
 complete, minimize, product) and against word-by-word membership, and pin the
 canonical fingerprints the analysis caches are keyed by.
+
+Regex compilation and canonicalization skip the intermediate automata too.
+They are held against oracles kept here: the Thompson construction through the
+``operations`` combinators followed by ``trim().relabel()``, and the
+fingerprint payload built from ``operations.minimize`` plus BFS renumbering.
 """
 
+import hashlib
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +24,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.languages import Language, operations
 from repro.languages.automata import EpsilonNFA, compile_automaton
 from repro.languages.examples import FIGURE_1_LANGUAGES
+from repro.languages.regex import (
+    Concat,
+    Epsilon,
+    Letter,
+    Star,
+    Union,
+    _compile,
+    parse_regex,
+    regex_to_automaton,
+)
 from repro.traffic.generator import DEFAULT_CATALOGUE
 
 SETTINGS = settings(
@@ -264,3 +280,152 @@ class TestPinnedFingerprints:
         word, fingerprint = ONE_DANGLING_FINGERPRINTS[expression]
         assert decomposition.dangling_word == word
         assert operations.canonical_fingerprint(decomposition.local_part.automaton) == fingerprint
+
+
+# ----------------------------------------------------------------- one-pass compilation
+
+
+def combinator_compile(node):
+    """The Thompson construction through the ``operations`` combinators."""
+    if isinstance(node, Epsilon):
+        return EpsilonNFA.build(["q"], ["q"], ["q"], [])
+    if isinstance(node, Letter):
+        return EpsilonNFA.for_word(node.letter)
+    if isinstance(node, Concat):
+        return operations.concatenation(combinator_compile(node.left), combinator_compile(node.right))
+    if isinstance(node, Union):
+        return operations.union(combinator_compile(node.left), combinator_compile(node.right))
+    assert isinstance(node, Star)
+    return operations.kleene_star(combinator_compile(node.inner))
+
+
+def combinator_automaton(expression):
+    return combinator_compile(parse_regex(expression)).trim().relabel()
+
+
+COMPILATION_EDGE_CASES = ("", "ε", "_", "a**", "()", "(|)*", "(a|)b")
+
+
+def every_ast(size):
+    """Every AST of exactly ``size`` nodes over the leaves ``a``, ``b`` and ε."""
+    if size == 1:
+        return [Letter("a"), Letter("b"), Epsilon()]
+    trees = [Star(inner) for inner in every_ast(size - 1)]
+    for left_size in range(1, size - 1):
+        for left in every_ast(left_size):
+            for right in every_ast(size - 1 - left_size):
+                trees += [Concat(left, right), Union(left, right)]
+    return trees
+
+
+class TestOnePassCompilation:
+    def test_every_ast_of_up_to_six_nodes(self):
+        trees = [tree for size in range(1, 7) for tree in every_ast(size)]
+        assert len(trees) == 1674
+        for tree in trees:
+            assert _compile(tree) == combinator_compile(tree).trim().relabel(), tree
+
+    @pytest.mark.parametrize(
+        "expression",
+        COMPILATION_EDGE_CASES + tuple(sorted(FIGURE_1_FINGERPRINTS)) + tuple(sorted(INFIX_FREE_FINGERPRINTS)),
+    )
+    def test_edge_cases_and_catalogue(self, expression):
+        assert regex_to_automaton(expression) == combinator_automaton(expression)
+
+    @SETTINGS
+    @given(regexes)
+    def test_equals_the_combinators_relabelled(self, expression):
+        assert regex_to_automaton(expression) == combinator_automaton(expression)
+
+
+# ----------------------------------------------------------------- integer-table canonicalization
+
+
+def minimize_canonical_dfa(automaton):
+    """The canonical DFA from ``operations.minimize`` plus BFS renumbering."""
+    dfa = operations.minimize(automaton)
+    table = {(source, label): target for source, label, target in dfa.letter_transitions}
+    (start,) = dfa.initial
+    order = [start]
+    for state in order:
+        for letter in sorted(dfa.alphabet):
+            if table[(state, letter)] not in order:
+                order.append(table[(state, letter)])
+    assert set(order) == dfa.states
+    number = {state: index for index, state in enumerate(order)}
+    return EpsilonNFA.build(
+        number.values(),
+        [number[start]],
+        (number[state] for state in dfa.final),
+        ((number[source], label, number[target]) for source, label, target in dfa.letter_transitions),
+        dfa.alphabet,
+    )
+
+
+def payload_fingerprint(dfa):
+    """The sha256 of the fingerprint payload of an already canonical DFA."""
+    payload = repr(
+        (
+            tuple(sorted(dfa.alphabet)),
+            len(dfa.states),
+            tuple(sorted(dfa.initial)),
+            tuple(sorted(dfa.final)),
+            tuple(sorted(dfa.letter_transitions)),
+        )
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Dead and unreachable states, epsilon moves, an empty initial set, mixed
+# state types and letters no transition uses.
+STATE_NAMES = (0, 1, 2, 3, 4, 5, "p", "q", ("t", 0))
+
+
+@st.composite
+def random_automata(draw):
+    states = draw(st.lists(st.sampled_from(STATE_NAMES), min_size=1, max_size=7, unique=True))
+    named = st.sampled_from(states)
+    transitions = draw(
+        st.lists(st.tuples(named, st.sampled_from(["a", "b", "c", None]), named), max_size=14)
+    )
+    initial = draw(st.lists(named, max_size=3))
+    final = draw(st.lists(named, max_size=len(states)))
+    unused = draw(st.sampled_from(["", "d", "de"]))
+    return EpsilonNFA.build(states, initial, final, transitions, unused)
+
+
+def regex_derived(expression):
+    """A regex automaton, its widening to ``abcd`` and IF(L) over ``abc``."""
+    automaton = Language.from_regex(expression).automaton
+    return (
+        automaton,
+        automaton.with_alphabet("abcd"),
+        Language.from_regex(expression, alphabet=ALPHABET).infix_free().automaton,
+    )
+
+
+def assert_canonical(automaton):
+    reference = minimize_canonical_dfa(automaton)
+    assert operations.canonical_fingerprint(automaton) == payload_fingerprint(reference)
+    dfa = operations.canonical_dfa(automaton)
+    assert dfa == reference
+    assert dfa.is_complete_dfa() and dfa.alphabet == automaton.alphabet
+    assert operations.canonical_dfa(dfa) == dfa
+
+
+class TestCanonicalTables:
+    @SETTINGS
+    @given(regexes)
+    def test_regex_automata_widenings_and_infix_free(self, expression):
+        for automaton in regex_derived(expression):
+            assert_canonical(automaton)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(random_automata())
+    def test_random_automata(self, automaton):
+        assert_canonical(automaton)
+
+    @pytest.mark.parametrize("expression", sorted(FIGURE_1_FINGERPRINTS))
+    def test_catalogue_payloads(self, expression):
+        for automaton in regex_derived(expression):
+            assert_canonical(automaton)

@@ -23,6 +23,7 @@ from repro.service import (
     HealthMonitor,
     LanguageCache,
     NodeManager,
+    QuerySpec,
     RetryPolicy,
     Router,
     ThreadExchange,
@@ -319,6 +320,24 @@ def test_http_exchange_end_to_end_and_stats_roundtrip(set_db):
         for snapshot in snapshots:
             rebuilt = NodeStats.from_dict(snapshot.as_dict())
             assert rebuilt == snapshot
+
+
+def test_http_budgeted_spec_bypasses_the_result_cache(set_db):
+    # A budgeted spec reports whether its own execution fits the budget, so
+    # the node runs it even though its session cache holds the result.
+    def serve(exchange, spec):
+        [outcome] = exchange.submit(WorkloadEnvelope.single(Workload.coerce([spec]), set_db))
+        return outcome
+
+    with HttpExchange(nodes=1, max_workers=1, parallel=False) as exchange:
+        assert serve(exchange, "aa").status == "ok"
+        assert serve(exchange, "aa").status == "ok"
+        [before] = exchange.stats()
+        assert before.cache.result_hits == 1
+        assert serve(exchange, QuerySpec("aa", max_nodes=1)).status == "budget-exceeded"
+        [after] = exchange.stats()
+        assert after.cache.result_hits == 1
+        assert after.cache.result_uncacheable == before.cache.result_uncacheable + 1
 
 
 def test_http_node_kill_fails_over_to_the_survivor(set_db):

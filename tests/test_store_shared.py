@@ -23,6 +23,7 @@ from repro.resilience import (
     choose_method,
     resilience,
 )
+from repro.service import ResilienceServer
 from repro.service.warm import warm_queries, warm_trace
 from repro.service.workload import QuerySpec
 from repro.traffic.generator import TrafficProfile, generate_traffic
@@ -112,6 +113,44 @@ class TestResultStore:
     def test_result_store_requires_canonical_layer(self, tmp_path):
         with pytest.raises(ValueError):
             LanguageCache(canonical=False, result_store=ResultStore(tmp_path))
+
+
+class TestWriteBack:
+    """The result store is written only for results new to the session."""
+
+    BUDGETED = QuerySpec("aba", method="exact", max_nodes=10_000)
+
+    def test_a_key_new_to_the_session_writes_once(self, tmp_path, database):
+        store = ResultStore(tmp_path)
+        cache = LanguageCache(result_store=store)
+        with ResilienceServer(database, parallel=False, cache=cache) as server:
+            [plain] = server.serve([QuerySpec("aba", method="exact")])
+            assert plain.status == "ok"
+            assert store.stats().writes == 1
+            # Budgeted specs never hit, so this one executes and completes;
+            # its key is already held, and the disk holds an equal result.
+            [budgeted] = server.serve([self.BUDGETED])
+            assert (budgeted.status, budgeted.result) == ("ok", plain.result)
+            assert cache.stats.result_misses == 2 and cache.stats.result_hits == 0
+            assert store.stats().writes == 1
+            [other] = server.serve(["ab"])
+            assert other.status == "ok"
+            assert store.stats().writes == 2
+        assert len(ResultStore(tmp_path)) == 2
+
+    def test_a_store_hit_is_never_written_back(self, tmp_path, database):
+        with ResilienceServer(
+            database, parallel=False, cache=LanguageCache(result_store=ResultStore(tmp_path))
+        ) as warming:
+            [warmed] = warming.serve([QuerySpec("aba", method="exact")])
+        store = ResultStore(tmp_path)
+        cache = LanguageCache(result_store=store)
+        with ResilienceServer(database, parallel=False, cache=cache) as server:
+            [hit] = server.serve([QuerySpec("aba", method="exact")])
+            [budgeted] = server.serve([self.BUDGETED])
+        assert hit.result == budgeted.result == warmed.result
+        assert store.stats().hits == 1
+        assert store.stats().writes == 0
 
 
 class TestCompaction:

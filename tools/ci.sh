@@ -39,6 +39,15 @@ echo "ci: analysis negative check ok (seeded violation rejected)"
 echo "ci: tier-1 test suite"
 python -m pytest -x -q
 
+# Store keys must agree across processes (a warming process writes them, a
+# serving one reads them), and canonicalization numbers NFA states in
+# frozenset order internally: fixed hash seeds make this check reproducible.
+echo "ci: regex compilation and canonical fingerprints under PYTHONHASHSEED=0 and 123"
+for seed in 0 123; do
+  PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
+    tests/test_automaton_kernel.py -k "TestPinnedFingerprints or TestOnePassCompilation or TestCanonicalTables"
+done
+
 echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
 python -m pytest -q perfbench/selftest.py
 
