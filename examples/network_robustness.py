@@ -42,9 +42,11 @@ def main() -> None:
     # Robustness experiment: how does the resilience change as links fail?
     print("\nlink-failure sweep (removing the largest-capacity x-facts one by one):")
     remaining = network_db
+    # Ties in capacity break by the fact itself, so the sweep does not depend
+    # on set iteration order (which changes with PYTHONHASHSEED).
     x_facts = sorted(
         (fact for fact in network_db.facts if fact.label == "x"),
-        key=lambda fact: -network_db.multiplicity(fact),
+        key=lambda fact: (-network_db.multiplicity(fact), repr(fact)),
     )
     for step, fact in enumerate(x_facts[:5]):
         remaining = remaining.remove([fact])

@@ -120,7 +120,7 @@ def bcl_structure(language: Language) -> BclStructure:
         NotApplicableError: if the language is not a bipartite chain language.
     """
     if not is_bipartite_chain_language(language):
-        raise NotApplicableError(f"language {language} is not a bipartite chain language")
+        raise NotApplicableError(f"{language.name or ''} is not a bipartite chain language")
     words = language.words()
     has_epsilon = "" in words
     single_letters = frozenset(word for word in words if len(word) == 1)

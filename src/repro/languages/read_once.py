@@ -54,21 +54,6 @@ def read_once_to_local_dfa(automaton: EpsilonNFA) -> EpsilonNFA:
     return result
 
 
-def _memoized_read_once(language: Language) -> EpsilonNFA:
-    """The RO-epsilon-NFA of the local overapproximation, memoized on the instance.
-
-    The construction is deterministic, so repeated flow queries through a
-    shared language — the session caches resolve duplicates and equivalent
-    queries to one instance — reuse one automaton object, which in turn keeps
-    the per-database compiled product-graph cache hot.
-    """
-    memoized = getattr(language, "_read_once_automaton", None)
-    if memoized is None:
-        memoized = local_dfa_to_read_once(local.local_overapproximation(language))
-        language._read_once_automaton = memoized
-    return memoized
-
-
 def read_once_automaton(language: Language) -> EpsilonNFA:
     """Return an RO-epsilon-NFA recognizing the (local) language (Lemma 3.17).
 
@@ -77,7 +62,7 @@ def read_once_automaton(language: Language) -> EpsilonNFA:
     """
     if not local.is_local(language):
         raise NotLocalError(f"language {language} is not local")
-    return _memoized_read_once(language)
+    return read_once_automaton_unchecked(language)
 
 
 def read_once_automaton_unchecked(language: Language) -> EpsilonNFA:
@@ -85,9 +70,7 @@ def read_once_automaton_unchecked(language: Language) -> EpsilonNFA:
 
     This follows the combined-complexity statement of Theorem 3.13: the caller
     promises that the language is local; if it is not, the returned automaton
-    recognizes the local overapproximation instead.  Shares
-    :func:`read_once_automaton`'s memo (for a genuinely local language the
-    two constructions coincide, and the unchecked variant's callers promise
-    locality).
+    recognizes the local overapproximation instead.  For a local language
+    both variants build the same automaton.
     """
-    return _memoized_read_once(language)
+    return local_dfa_to_read_once(local.local_overapproximation(language))

@@ -5,7 +5,10 @@ from .bcl_flow import resilience_bcl
 from .engine import (
     CacheStats,
     LanguageCache,
+    QueryPlan,
     choose_method,
+    execute,
+    plan_query,
     resilience,
     resilience_many,
     verify_contingency_set,
@@ -18,7 +21,6 @@ from .store import (
     AnalysisStore,
     ResultStore,
     StoreBackend,
-    StoredAnalysis,
     StoreStats,
     code_version_salt,
     result_code_salt,
@@ -29,14 +31,16 @@ __all__ = [
     "AnalysisStore",
     "CacheStats",
     "LanguageCache",
+    "QueryPlan",
     "ResilienceResult",
     "ResultStore",
     "StoreBackend",
     "StoreStats",
-    "StoredAnalysis",
     "build_product_network",
     "choose_method",
     "code_version_salt",
+    "execute",
+    "plan_query",
     "result_code_salt",
     "resilience",
     "resilience_bcl",

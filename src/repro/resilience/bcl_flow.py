@@ -16,7 +16,6 @@ unconditionally.
 
 from __future__ import annotations
 
-from ..exceptions import NotApplicableError
 from ..flow.compiled import solve_min_cut
 from ..flow.network import FlowNetwork
 from ..flow.substrate import compile_bcl_graph
@@ -84,8 +83,13 @@ def resilience_bcl(
     database: GraphDatabase | BagGraphDatabase,
     *,
     semantics: str | None = None,
+    structure: chain.BclStructure | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a bipartite chain language (Proposition 7.6).
+
+    ``structure`` is the language's :func:`~repro.languages.chain.bcl_structure`,
+    built by the caller (the engine's query plan); without it, it is computed
+    here.
 
     Raises:
         NotApplicableError: if the language is not a bipartite chain language.
@@ -95,12 +99,10 @@ def resilience_bcl(
         semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
     name = language.name or ""
 
-    if not chain.is_bipartite_chain_language(language):
-        raise NotApplicableError(f"{name} is not a bipartite chain language")
+    if structure is None:
+        structure = chain.bcl_structure(language)
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "bcl-flow", name)
-
-    structure = chain.bcl_structure(language)
 
     # Preprocessing: facts labelled by a one-letter word must always be
     # removed.  Instead of materializing a copy of the database without them,

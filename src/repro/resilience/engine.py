@@ -1,27 +1,30 @@
-"""The resilience engine: dispatches each query to the best applicable algorithm.
+"""The resilience engine: plan a query once, then execute the plan on databases.
 
-The dispatcher mirrors the paper's tractability landscape: it first replaces the
-language by its infix-free sublanguage (the query is unchanged, Section 2), then
-tries the local-language MinCut reduction (Theorem 3.13), the bipartite-chain
-reduction (Proposition 7.6) and the one-dangling reduction (Proposition 7.9), and
-finally falls back to the exact branch-and-bound baseline (which is correct for
-every language but may take exponential time).
+Every tractable case of the paper is work on the query alone followed by a
+MinCut on the database, so the engine is split in two.  :func:`plan_query`
+does all the query-only work: it replaces the language by its infix-free
+sublanguage (the query is unchanged, Section 2), picks an algorithm — the
+local-language MinCut reduction (Theorem 3.13), the bipartite-chain reduction
+(Proposition 7.6), the one-dangling reduction (Proposition 7.9), or the exact
+branch-and-bound baseline, which is correct for every language but may take
+exponential time — and builds that algorithm's query-only artefact into a
+frozen :class:`QueryPlan`.  :func:`execute` runs a plan on a database and
+does database work only; :func:`resilience` is ``execute(plan_query(...))``.
 
-Forced-method semantics: passing ``method=`` to :func:`resilience` normally
-*validates* that the forced algorithm is applicable to the (infix-free) query
-language and raises :class:`~repro.exceptions.ReproError` when it is not —
-running, say, the local-flow reduction on a non-local language silently returns
-a wrong value, so this is an error, not a fallback.  Callers that knowingly
-want the unchecked behaviour (e.g. the combined-complexity experiments, which
-run a reduction on the local *overapproximation*) pass ``unsafe=True``.
+Forced-method semantics: passing ``method=`` normally *validates* that the
+forced algorithm is applicable to the (infix-free) query language and raises
+:class:`~repro.exceptions.ReproError` when it is not — running, say, the
+local-flow reduction on a non-local language silently returns a wrong value,
+so this is an error, not a fallback.  Callers that knowingly want the
+unchecked behaviour (e.g. the combined-complexity experiments, which run a
+reduction on the local *overapproximation*) pass ``unsafe=True``.
 
 Batched serving: :func:`resilience_many` evaluates a fleet of queries against
 one database.  The database's fact index is built once and shared by every
-query, duplicate queries resolve to one shared language (whose infix-free
-sublanguage is memoized on the instance), and compiled query plans are cached
-by automaton equality, so repeated or equivalent queries compile once (see
-:func:`~repro.languages.automata.compile_automaton`).  For parallel serving
-with per-query budgets and structured outcomes, see :mod:`repro.service`.
+query, and a :class:`LanguageCache` plans each equivalence class of queries
+once, so duplicate and equivalent queries execute one shared plan.  For
+parallel serving with per-query budgets and structured outcomes, see
+:mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -29,18 +32,21 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase, as_bag, as_set
-from ..languages import chain, dangling, local
+from ..languages import chain, dangling, local, read_once
 from ..languages.core import Language
 from ..rpq.query import RPQ
 from .bcl_flow import resilience_bcl
 from .exact import resilience_exact
 from .local_flow import resilience_local
-from .one_dangling import resilience_one_dangling
+from .one_dangling import plan_one_dangling, resilience_one_dangling
 from .result import INFINITE, ResilienceResult
-from .store import AnalysisStore, ResultStore
+
+if TYPE_CHECKING:
+    from .store import AnalysisStore, ResultStore
 
 
 def choose_method(language: Language, *, infix_free: Language | None = None) -> str:
@@ -74,10 +80,7 @@ _FORCED_METHOD_PRECONDITIONS = {
 
 
 def _check_forced_method(method: str, infix_free: Language, unsafe: bool) -> None:
-    precondition = _FORCED_METHOD_PRECONDITIONS.get(method)
-    if precondition is None:
-        raise ValueError(f"unknown resilience method: {method}")
-    if unsafe or precondition(infix_free):
+    if unsafe or _FORCED_METHOD_PRECONDITIONS[method](infix_free):
         return
     raise ReproError(
         f"method {method!r} is not applicable to this language; its result would be "
@@ -91,6 +94,66 @@ def _as_language(query: Language | RPQ | str) -> Language:
     if isinstance(query, RPQ):
         return query.language
     return query
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """Everything the engine decides about a query before it sees a database.
+
+    Built only by :func:`plan_query` and run by :func:`execute`.  A plan is a
+    pure function of the query language (and of a forced method), so caches
+    hold one per equivalence class, the on-disk
+    :class:`~repro.resilience.store.AnalysisStore` persists it, and the
+    serving layer ships it to worker processes as is.
+
+    Attributes:
+        method: the algorithm to run (see :func:`choose_method`).
+        infix_free: the infix-free sublanguage every algorithm runs on;
+            ``None`` when the language contains the empty word, whose
+            resilience is infinite on every database.
+        artefact: the method's query-only input — the RO-ε-NFA of the
+            language (``"local-flow"``), its
+            :class:`~repro.languages.chain.BclStructure` (``"bcl-flow"``) or
+            its :class:`~repro.resilience.one_dangling.DanglingPlan`
+            (``"one-dangling-flow"``); ``None`` for the exact search.
+    """
+
+    method: str
+    infix_free: Language | None = None
+    artefact: object = None
+
+
+def plan_query(
+    language: Language, *, method: str | None = None, unsafe: bool = False
+) -> QueryPlan:
+    """Plan a query language: classify it and build its method's artefact.
+
+    ``method`` forces an algorithm, whose applicability is validated unless
+    ``unsafe`` (see the module docstring).  Raises ``ValueError`` for an
+    unknown method and :class:`~repro.exceptions.ReproError` for an
+    inapplicable one.
+    """
+    if method is not None and method not in _FORCED_METHOD_PRECONDITIONS:
+        raise ValueError(f"unknown resilience method: {method}")
+    # The empty word makes resilience infinite whatever algorithm is forced.
+    if language.contains(""):
+        return QueryPlan("trivial-epsilon")
+    infix_free = language.infix_free()
+    if method is None:
+        method = choose_method(language, infix_free=infix_free)
+    else:
+        _check_forced_method(method, infix_free, unsafe)
+    # Locality was decided above (or waived by ``unsafe``, which then runs
+    # on the local overapproximation), so the local artefact skips the check.
+    if method == "local-flow":
+        artefact = read_once.read_once_automaton_unchecked(infix_free)
+    elif method == "bcl-flow":
+        artefact = chain.bcl_structure(infix_free)
+    elif method == "one-dangling-flow":
+        artefact = plan_one_dangling(infix_free)
+    else:
+        artefact = None
+    return QueryPlan(method, infix_free, artefact)
 
 
 def warm_database(database: GraphDatabase | BagGraphDatabase) -> None:
@@ -107,24 +170,6 @@ def warm_database(database: GraphDatabase | BagGraphDatabase) -> None:
     as_bag(database).index()
 
 
-def reforce_planned_method(
-    method: str | None, unsafe: bool, plan: "Callable[[], str]"
-) -> tuple[str, bool]:
-    """Resolve the ``(method, unsafe)`` pair to pass to :func:`resilience`.
-
-    A caller-forced ``method`` keeps the caller's ``unsafe`` flag so the usual
-    applicability validation still runs; otherwise the ``plan`` callable
-    supplies the dispatcher's own choice, which is re-forced with
-    ``unsafe=True`` — re-deriving its precondition per duplicate query would
-    be pure waste.  ``plan`` is only consulted when no method is forced, so
-    callers can hand in a (possibly uncached) classification lazily.  Shared
-    by :func:`resilience_many` and the serving layer's executor.
-    """
-    if method is not None:
-        return method, unsafe
-    return plan(), True
-
-
 @dataclass
 class CacheStats:
     """Observability counters of one :class:`LanguageCache`.
@@ -134,8 +179,8 @@ class CacheStats:
             language via the canonical-fingerprint layer.
         canonical_misses: queries that became the representative of a new
             equivalence class.
-        classifications: how many times :func:`choose_method` actually ran —
-            the acceptance observable: equivalent queries share one run.
+        classifications: how many query plans were actually built — the
+            acceptance observable: equivalent queries share one plan.
         result_hits: queries answered from the result-level cache — an
             identical ``(query class, database, semantics, method)`` tuple was
             already computed (this session, or by any process sharing a
@@ -152,7 +197,8 @@ class CacheStats:
             so error-heavy chaos traffic cannot skew the hit rate.
         evictions: entries dropped by the size/age bounds (all layers).
         entries: **gauge** — entries currently held across the cache's maps
-            (expression, canonical class, method memo, result layers).
+            (expression, canonical class and result layers, plus the plan
+            memo when the canonical layer is off).
         bytes_estimate: **gauge** — rough in-memory footprint of the held
             languages and results (automaton- and contingency-set-sized
             estimates, not exact byte counts).
@@ -322,13 +368,13 @@ class _BoundedLru:
 
 
 class _CanonicalClass:
-    """One canonical equivalence class: its representative and method memo."""
+    """One canonical equivalence class: its representative and its plan."""
 
-    __slots__ = ("language", "method")
+    __slots__ = ("language", "plan")
 
-    def __init__(self, language: Language, method: str | None = None) -> None:
+    def __init__(self, language: Language, plan: QueryPlan | None = None) -> None:
         self.language = language
-        self.method = method
+        self.plan = plan
 
 
 class LanguageCache:
@@ -349,12 +395,12 @@ class LanguageCache:
       copy, so each query keeps its own display name);
     * ``Language.infix_free()`` is memoized on the instance itself, so sharing
       the representative shares the infix-free sublanguage;
-    * the dispatcher's method choice is memoized per fingerprint (per instance
-      when the canonical layer is off);
+    * the :class:`QueryPlan` is memoized per fingerprint (per instance when
+      the canonical layer is off);
     * an optional :class:`~repro.resilience.store.AnalysisStore` adds an
       on-disk layer below the canonical one: a fingerprint seen by *any*
-      previous process resolves its method and infix-free sublanguage from
-      disk instead of recomputing them;
+      previous process resolves its plan from disk instead of recomputing
+      it;
     * compiled automaton plans are already shared process-wide by
       :func:`~repro.languages.automata.compile_automaton` (keyed by automaton
       equality), so even two distinct-but-equal languages share one plan.
@@ -370,8 +416,9 @@ class LanguageCache:
     (the default), it is scoped to a serving session (or one
     :func:`resilience_many` batch), not to the process.  Long-lived servers
     pass ``max_entries`` and/or ``max_age_seconds`` to bound every layer with
-    LRU eviction — each layer (expression, canonical class, method memo,
-    result) then holds at most ``max_entries`` entries and drops entries idle
+    LRU eviction — each layer (expression, canonical class, result, and the
+    plan memo of ``canonical=False``) then holds at most ``max_entries``
+    entries and drops entries idle
     longer than ``max_age_seconds``; evictions are counted in
     :attr:`CacheStats.evictions` and the live footprint is surfaced through
     the :attr:`CacheStats.entries` / :attr:`CacheStats.bytes_estimate` gauges.
@@ -416,12 +463,13 @@ class LanguageCache:
             )
 
         self._by_expression = bounded(_estimate_language_bytes)
-        # Keyed by id(); the held tuple keeps the language alive so ids stay
-        # valid for exactly as long as the entry is (Language equality is
-        # semantic, so an equality-keyed dict would pay an automaton-
-        # equivalence check per lookup).  Eviction removes the whole entry, so
-        # a recycled id can never alias a stale memo.
-        self._methods = bounded(lambda pair: 128)
+        # The plan memo of ``canonical=False`` (canonical classes hold their
+        # plans).  Keyed by id(); the held tuple keeps the language alive so
+        # ids stay valid for exactly as long as the entry is (Language
+        # equality is semantic, so an equality-keyed dict would pay an
+        # automaton-equivalence check per lookup).  Eviction removes the
+        # whole entry, so a recycled id can never alias a stale memo.
+        self._plans = bounded(lambda pair: 128)
         self._classes = bounded(lambda cls: _estimate_language_bytes(cls.language))
         self._results = bounded(_estimate_result_bytes)
 
@@ -437,7 +485,7 @@ class LanguageCache:
         self.stats.evictions += 1
 
     def _refresh_gauges(self) -> None:
-        maps = (self._by_expression, self._classes, self._methods, self._results)
+        maps = (self._by_expression, self._classes, self._plans, self._results)
         self.stats.entries = sum(len(m) for m in maps)
         self.stats.bytes_estimate = sum(m.bytes_estimate for m in maps)
 
@@ -476,11 +524,9 @@ class LanguageCache:
             cached = _CanonicalClass(language)
             self.stats.canonical_misses += 1
             if self._store is not None:
-                stored = self._store.get(fingerprint)
-                if stored is not None:
-                    if language._infix_free is None and stored.infix_free is not None:
-                        language._infix_free = stored.infix_free
-                    cached.method = stored.method
+                cached.plan = self._store.get(fingerprint)
+                if cached.plan is not None and language._infix_free is None:
+                    language._infix_free = cached.plan.infix_free
             self._classes.set(fingerprint, cached)
             return language
         self.stats.canonical_hits += 1
@@ -488,51 +534,44 @@ class LanguageCache:
             return language
         return cached.language.relabelled(language.name)
 
-    def method(self, language: Language) -> str:
-        """Return the dispatcher's method choice for a language, memoized.
+    def plan(self, language: Language) -> QueryPlan:
+        """Return the dispatcher's :class:`QueryPlan` for a language, memoized.
 
-        Mirrors :func:`choose_method` (epsilon short-circuit first, then
-        classification of the memoized infix-free sublanguage).  With the
-        canonical layer on, the classification runs once per *equivalence
-        class* — and not at all when the on-disk store already holds it.
+        With the canonical layer on, :func:`plan_query` runs once per
+        *equivalence class* — and not at all when the on-disk store already
+        holds the plan; with it off, once per language instance.
         """
-        key = id(language)  # repro: allow[det-id] -- identity memo key per live instance; never ordered, never emitted
-        cached = self._methods.get(key)
-        if cached is None:
-            cached = (language, self._classify(language))
-            self._methods.set(key, cached)
-            self._refresh_gauges()
-        return cached[1]
-
-    def _classify(self, language: Language) -> str:
         if not self._canonical:
-            self.stats.classifications += 1
-            return choose_method(language)
+            key = id(language)  # repro: allow[det-id] -- identity memo key per live instance; never ordered, never emitted
+            cached = self._plans.get(key)
+            if cached is None:
+                self.stats.classifications += 1
+                cached = (language, plan_query(language))
+                self._plans.set(key, cached)
+                self._refresh_gauges()
+            return cached[1]
         fingerprint = language.fingerprint()
         entry = self._classes.get(fingerprint)
-        if entry is not None and entry.method is not None:
-            return entry.method
+        if entry is not None and entry.plan is not None:
+            return entry.plan
         self.stats.classifications += 1
-        # Classify the representative, not a relabelled copy: the infix-free
-        # sublanguage ``choose_method`` memoizes must land on the instance
-        # every later equivalent query will share.  (A bounded cache may have
-        # evicted the class between resolution and classification — then this
+        # Plan the representative, not a relabelled copy: the infix-free
+        # sublanguage ``plan_query`` memoizes must land on the instance every
+        # later equivalent query will share.  (A bounded cache may have
+        # evicted the class between resolution and planning — then this
         # language simply becomes the new representative.)
         representative = entry.language if entry is not None else language
-        method = choose_method(representative)
-        if language is not representative and language._infix_free is None:
-            language._infix_free = representative._infix_free
+        plan = plan_query(representative)
+        if language._infix_free is None:
+            language._infix_free = plan.infix_free
         if entry is not None:
-            entry.method = method
+            entry.plan = plan
         else:
-            self._classes.set(fingerprint, _CanonicalClass(language, method))
+            self._classes.set(fingerprint, _CanonicalClass(language, plan))
+            self._refresh_gauges()
         if self._store is not None:
-            # ``None`` only for epsilon languages, whose execution
-            # short-circuits before ever needing the infix-free language.
-            self._store.put(
-                fingerprint, method=method, infix_free=representative._infix_free
-            )
-        return method
+            self._store.put(fingerprint, plan)
+        return plan
 
     # ------------------------------------------------------------ result cache
 
@@ -668,6 +707,46 @@ class LanguageCache:
         return len(self._by_expression)
 
 
+def execute(
+    plan: QueryPlan,
+    database: GraphDatabase | BagGraphDatabase,
+    *,
+    semantics: str | None = None,
+    exact_max_nodes: int | None = None,
+    exact_max_seconds: float | None = None,
+    name: str = "",
+) -> ResilienceResult:
+    """Run a :class:`QueryPlan` on a database: database work only.
+
+    ``semantics``, ``exact_max_nodes`` and ``exact_max_seconds`` are those of
+    :func:`resilience`; ``name`` is the display name the result reports.
+    """
+    if semantics is None:
+        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+    infix_free, method, artefact = plan.infix_free, plan.method, plan.artefact
+    if infix_free is None:
+        return ResilienceResult(INFINITE, None, semantics, "trivial-epsilon", name)
+    if method == "local-flow":
+        result = resilience_local(infix_free, database, semantics=semantics, automaton=artefact)
+    elif method == "bcl-flow":
+        result = resilience_bcl(infix_free, database, semantics=semantics, structure=artefact)
+    elif method == "one-dangling-flow":
+        result = resilience_one_dangling(infix_free, database, semantics=semantics, plan=artefact)
+    else:
+        # "exact", or "trivial-epsilon" forced unsafely on a language without
+        # the empty word.
+        result = resilience_exact(
+            infix_free,
+            database,
+            semantics=semantics,
+            max_nodes=exact_max_nodes,
+            max_seconds=exact_max_seconds,
+        )
+    # Report under the original query name without mutating the infix-free
+    # language the plan shares.
+    return result.with_query(name)
+
+
 def resilience(
     query: Language | RPQ | str,
     database: GraphDatabase | BagGraphDatabase,
@@ -679,6 +758,9 @@ def resilience(
     exact_max_seconds: float | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of an RPQ on a database.
+
+    Equivalent to ``execute(plan_query(language, method=method,
+    unsafe=unsafe), database, ...)`` under the query's display name.
 
     Args:
         query: the query language, as a :class:`Language`, an :class:`RPQ`, or a
@@ -706,47 +788,14 @@ def resilience(
         contingency set (when available) and the algorithm used.
     """
     language = _as_language(query)
-
-    if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
-
-    if method is not None and method not in _FORCED_METHOD_PRECONDITIONS:
-        raise ValueError(f"unknown resilience method: {method}")
-
-    display_name = language.name or ""
-    # The empty word makes resilience infinite whatever algorithm is forced, so
-    # the epsilon short-circuit only needs the method *name* validated above.
-    if language.contains(""):
-        return ResilienceResult(INFINITE, None, semantics, "trivial-epsilon", display_name)
-
-    # The infix-free sublanguage is expensive to compute; do it exactly once and
-    # thread it through both method selection and the chosen algorithm.
-    infix_free = language.infix_free()
-    if method is None:
-        chosen = choose_method(language, infix_free=infix_free)
-    else:
-        chosen = method
-        _check_forced_method(chosen, infix_free, unsafe)
-
-    if chosen == "local-flow":
-        result = resilience_local(infix_free, database, semantics=semantics, check_local=not unsafe)
-    elif chosen == "bcl-flow":
-        result = resilience_bcl(infix_free, database, semantics=semantics)
-    elif chosen == "one-dangling-flow":
-        result = resilience_one_dangling(infix_free, database, semantics=semantics)
-    elif chosen in ("exact", "trivial-epsilon"):
-        result = resilience_exact(
-            infix_free,
-            database,
-            semantics=semantics,
-            max_nodes=exact_max_nodes,
-            max_seconds=exact_max_seconds,
-        )
-    else:  # pragma: no cover - _check_forced_method rejects unknown methods
-        raise ValueError(f"unknown resilience method: {chosen}")
-    # Report under the original query name without mutating the infix-free
-    # language (the seed used to overwrite ``infix_free.name`` in place).
-    return result.with_query(display_name)
+    return execute(
+        plan_query(language, method=method, unsafe=unsafe),
+        database,
+        semantics=semantics,
+        exact_max_nodes=exact_max_nodes,
+        exact_max_seconds=exact_max_seconds,
+        name=language.name or "",
+    )
 
 
 def resilience_many(
@@ -764,15 +813,15 @@ def resilience_many(
 
     The database index is compiled once up front and reused by every query
     (indexes are cached on the database instance, so the flow reductions and
-    the exact overlay search all hit the same shared adjacency structures), and
-    compiled automaton plans are shared between equal queries.  Queries are
-    resolved through a session-level :class:`LanguageCache`, so duplicate
-    *and equivalent* queries share one :class:`Language` instance and
-    therefore one memoized infix-free sublanguage — the single most expensive
-    per-query derivation is paid once per distinct language, not once per
-    submission.  Pass ``cache=`` to share that cache across several batches of
-    the same session; a cache built with ``LanguageCache(store=...)``
-    additionally persists analyses on disk across processes (see
+    the exact overlay search all hit the same shared adjacency structures).
+    Queries are resolved through a session-level :class:`LanguageCache`, so
+    duplicate *and equivalent* queries share one :class:`QueryPlan`: the
+    infix-free sublanguage, the classification and the method's artefact are
+    paid once per distinct language, not once per submission.  A forced
+    ``method`` is planned per query, like :func:`resilience` does.  Pass
+    ``cache=`` to share that cache across several batches of the same
+    session; a cache built with ``LanguageCache(store=...)`` additionally
+    persists plans on disk across processes (see
     :class:`~repro.resilience.store.AnalysisStore`).  Results are returned in
     query order.
     """
@@ -800,17 +849,18 @@ def resilience_many(
         if cached is not None:
             results.append(cached)
             continue
-        run_method, run_unsafe = reforce_planned_method(
-            method, unsafe, lambda: cache.method(language)
+        plan = (
+            cache.plan(language)
+            if method is None
+            else plan_query(language, method=method, unsafe=unsafe)
         )
-        result = resilience(
-            language,
+        result = execute(
+            plan,
             database,
-            method=run_method,
-            unsafe=run_unsafe,
             semantics=semantics,
             exact_max_nodes=exact_max_nodes,
             exact_max_seconds=exact_max_seconds,
+            name=language.name or "",
         )
         cache.store_result(
             language, database, result, semantics=semantics, method=method, unsafe=unsafe

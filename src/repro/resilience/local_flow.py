@@ -79,17 +79,22 @@ def resilience_local(
     language: Language,
     database: GraphDatabase | BagGraphDatabase,
     *,
-    check_local: bool = True,
+    automaton: EpsilonNFA | None = None,
     semantics: str | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a local language via the MinCut reduction of Theorem 3.13.
 
     Args:
-        language: a local language (or any epsilon-NFA-definable language when
-            ``check_local`` is False and the caller guarantees locality, matching
-            the combined-complexity statement of the theorem).
+        language: a local language.
         database: the input database (set databases get unit multiplicities).
-        check_local: verify locality first and raise :class:`NotLocalError` if it fails.
+        automaton: an RO-epsilon-NFA for the language, built by the caller
+            (the engine's query plan).  Without it, locality is verified first
+            (:class:`NotLocalError` if it fails) and the automaton is built
+            here.  Passing
+            :func:`~repro.languages.read_once.read_once_automaton_unchecked`
+            of a non-local language runs the reduction on its local
+            overapproximation, matching the combined-complexity statement of
+            the theorem.
         semantics: force the reported semantics; inferred from the database type otherwise.
 
     Returns:
@@ -103,10 +108,8 @@ def resilience_local(
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "local-flow", language.name or "")
 
-    if check_local:
+    if automaton is None:
         automaton = read_once.read_once_automaton(language)
-    else:
-        automaton = read_once.read_once_automaton_unchecked(language)
 
     # Compile the product graph over the database's cached flow substrate —
     # facts with labels that the language never uses are simply ignored by the

@@ -16,6 +16,11 @@ A one-dangling language is ``L ∪ {xy}`` with ``L`` local and at least one of
 
 The witnessing contingency set of ``D`` is reconstructed from the cut of ``D'``
 following the proof of Claim 7.10(ii).
+
+Everything that depends only on the query — the decomposition, the mirror
+when ``x`` is the fresh letter, the RO-epsilon-NFA of the local part — is
+computed once by :func:`plan_one_dangling`.  The fresh letter ``z`` must
+avoid the database's alphabet, so the ``x -> xz`` split happens per database.
 """
 
 from __future__ import annotations
@@ -32,6 +37,45 @@ from ..languages.dangling import OneDanglingDecomposition, one_dangling_decompos
 from ..languages.operations import fresh_letter
 from ..languages import read_once
 from .result import INFINITE, ResilienceResult, finite_value
+
+
+@dataclass(frozen=True)
+class DanglingPlan:
+    """The query-only half of Proposition 7.9, oriented so that ``y`` is fresh.
+
+    Attributes:
+        language: the one-dangling language, or its mirror when ``x`` is the
+            fresh letter (Proposition 6.3).
+        decomposition: ``language``'s one-dangling decomposition.
+        local_automaton: the RO-epsilon-NFA of the decomposition's local part.
+        mirrored: whether ``language`` is the mirror of the planned language.
+    """
+
+    language: Language
+    decomposition: OneDanglingDecomposition
+    local_automaton: EpsilonNFA
+    mirrored: bool
+
+
+def plan_one_dangling(language: Language) -> DanglingPlan:
+    """Decompose a one-dangling language and orient it so that ``y`` is fresh.
+
+    Raises:
+        NotApplicableError: if the language is not one-dangling.
+    """
+    decomposition = one_dangling_decomposition(language)
+    if decomposition is None:
+        raise NotApplicableError(f"{language.name or ''} is not a one-dangling language")
+    mirrored = decomposition.y in decomposition.local_alphabet
+    if mirrored:
+        # x is the fresh letter: solve the mirror instead (Proposition 6.3).
+        language = language.mirror()
+        decomposition = one_dangling_decomposition(language)
+        if decomposition is None:  # pragma: no cover - mirror of one-dangling is one-dangling
+            raise NotApplicableError("mirror of a one-dangling language should be one-dangling")
+    # The decomposition already checked that the local part is local.
+    local_automaton = read_once.read_once_automaton_unchecked(decomposition.local_part)
+    return DanglingPlan(language, decomposition, local_automaton, mirrored)
 
 
 @dataclass
@@ -110,10 +154,13 @@ def resilience_one_dangling(
     language: Language,
     database: GraphDatabase | BagGraphDatabase,
     *,
-    decomposition: OneDanglingDecomposition | None = None,
     semantics: str | None = None,
+    plan: DanglingPlan | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a one-dangling language (Proposition 7.9).
+
+    ``plan`` is the language's :func:`plan_one_dangling`, built by the caller
+    (the engine's query plan); without it, it is computed here.
 
     Raises:
         NotApplicableError: if the language is not one-dangling.
@@ -124,27 +171,12 @@ def resilience_one_dangling(
     name = language.name or ""
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
-    if decomposition is None:
-        decomposition = one_dangling_decomposition(language)
-    if decomposition is None:
-        raise NotApplicableError(f"{name} is not a one-dangling language")
-
-    x_letter, y_letter = decomposition.x, decomposition.y
-    if y_letter not in decomposition.local_alphabet:
-        return _solve_forward(language, decomposition, bag, semantics, mirrored=False)
-    # Otherwise x is the fresh letter: mirror the language and the database
-    # (Proposition 6.3), solve, and mirror the contingency set back.
-    mirrored_language = language.mirror()
-    mirrored_decomposition = one_dangling_decomposition(mirrored_language)
-    if mirrored_decomposition is None:  # pragma: no cover - mirror of one-dangling is one-dangling
-        raise NotApplicableError("mirror of a one-dangling language should be one-dangling")
-    result = _solve_forward(
-        mirrored_language,
-        mirrored_decomposition,
-        bag.reverse(),
-        semantics,
-        mirrored=True,
-    )
+    if plan is None:
+        plan = plan_one_dangling(language)
+    if not plan.mirrored:
+        return _solve_forward(plan, bag, semantics, name)
+    # Solve on the mirrored database and mirror the contingency set back.
+    result = _solve_forward(plan, bag.reverse(), semantics, name)
     contingency = None
     if result.contingency_set is not None:
         contingency = frozenset(
@@ -156,21 +188,15 @@ def resilience_one_dangling(
 
 
 def _solve_forward(
-    language: Language,
-    decomposition: OneDanglingDecomposition,
-    bag: BagGraphDatabase,
-    semantics: str,
-    *,
-    mirrored: bool,
+    plan: DanglingPlan, bag: BagGraphDatabase, semantics: str, name: str
 ) -> ResilienceResult:
-    """Solve the case where the second letter ``y`` of the dangling word is fresh."""
-    name = language.name or ""
+    """Solve the planned language, whose second dangling letter ``y`` is fresh."""
+    decomposition = plan.decomposition
     x_letter, y_letter = decomposition.x, decomposition.y
     local_part = decomposition.local_part
 
-    z_letter = fresh_letter(language.alphabet, avoid=bag.alphabet)
-    local_ro = read_once.read_once_automaton(local_part)
-    primed_automaton = _split_x_transition(local_ro, x_letter, z_letter)
+    z_letter = fresh_letter(plan.language.alphabet, avoid=bag.alphabet)
+    primed_automaton = _split_x_transition(plan.local_automaton, x_letter, z_letter)
     primed_language = Language(primed_automaton, name=f"{local_part.name or 'L'}[x->xz]")
 
     rewrite = _rewrite_database(bag, x_letter, y_letter, z_letter)
@@ -205,7 +231,7 @@ def _solve_forward(
         "base_cost": base_cost,
         "network_nodes": graph.num_nodes,
         "network_edges": graph.num_edges,
-        "mirrored": mirrored,
+        "mirrored": plan.mirrored,
         "primed_language": primed_language.name,
     }
     return ResilienceResult(

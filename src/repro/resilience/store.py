@@ -1,9 +1,11 @@
 """Persistent on-disk stores for per-language analyses and per-query results.
 
 The expensive per-query work of the resilience engine — computing the
-infix-free sublanguage ``IF(L)`` and classifying it to pick an algorithm — is a
-pure function of the query *language*.  :class:`AnalysisStore` persists those
-results across processes, keyed by the language's canonical-DFA fingerprint
+infix-free sublanguage ``IF(L)``, classifying it to pick an algorithm and
+building that algorithm's artefact — is a pure function of the query
+*language*, captured in one :class:`~repro.resilience.engine.QueryPlan`.
+:class:`AnalysisStore` persists plans across processes, keyed by the
+language's canonical-DFA fingerprint
 (:meth:`~repro.languages.core.Language.fingerprint`), so repeated benchmark or
 serving runs skip the analysis entirely, even for queries written in a
 different but equivalent syntax.  :class:`ResultStore` persists whole
@@ -29,7 +31,7 @@ Entries are written atomically (temp file + ``os.replace``), so a crashed
 writer cannot leave a torn entry behind, and eviction races between sibling
 processes are benign (unlink of an already-unlinked file is a no-op).
 
-The payload uses pickle: infix-free automata have arbitrary hashable states
+The payload uses pickle: plan automata have arbitrary hashable states
 (nested tuples, frozensets) that no schema-free text format represents
 faithfully, and byte-identical round-trips are exactly what makes a store hit
 equal to a fresh computation.  The store is a local cache directory, not an
@@ -49,33 +51,34 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..languages.core import Language
+from .engine import QueryPlan
 from .result import ResilienceResult
 
 #: Envelope format version; bump when the entry layout changes.
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 
 @lru_cache(maxsize=1)
 def code_version_salt() -> str:
-    """Return a digest of the source files the cached analyses depend on.
+    """Return a digest of the source files the cached plans depend on.
 
-    A stored classification is only valid for the code that computed it: if
-    the classifier, the infix-free construction or any part of the language
-    substrate changes, every old entry must be ignored.  The whole
-    :mod:`repro.languages` package is hashed (the classification predicates
-    reach deep into it — ``words.is_strict_infix`` shapes ``IF(L)``, for
-    example — and a hand-picked module list is exactly the kind of dependency
-    audit that rots), plus the classifier and the dispatching engine.
-    Over-invalidating on an unrelated language-module edit costs one warm-up
-    run; under-invalidating would silently serve wrong methods.
+    A stored plan is only valid for the code that computed it: if the
+    classifier, the infix-free construction, any part of the language
+    substrate or a plan artefact changes, every old entry must be ignored.
+    The whole :mod:`repro.languages` package is hashed (the classification
+    predicates reach deep into it — ``words.is_strict_infix`` shapes
+    ``IF(L)``, for example — and a hand-picked module list is exactly the
+    kind of dependency audit that rots), plus the classifier, the planning
+    engine and the one-dangling plan.  Over-invalidating on an
+    unrelated edit costs one warm-up run; under-invalidating would silently
+    serve wrong plans.
     """
     from .. import languages
     from ..classify import classifier
-    from . import engine
+    from . import engine, one_dangling
 
     paths = set(Path(languages.__file__).parent.glob("*.py"))
-    paths.add(Path(classifier.__file__))
-    paths.add(Path(engine.__file__))
+    paths |= {Path(module.__file__) for module in (classifier, engine, one_dangling)}
     return _digest_files(paths)
 
 
@@ -107,26 +110,6 @@ def _digest_files(paths: set[Path]) -> str:
         digest.update(path.name.encode("utf-8"))
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class StoredAnalysis:
-    """One store entry: the classification of a language and its warm analyses.
-
-    Attributes:
-        method: the dispatcher's choice for the language (``"local-flow"``,
-            ``"exact"``, ...).
-        infix_free: the memoized infix-free sublanguage, ready to install on a
-            :class:`~repro.languages.core.Language` instance; ``None`` for
-            epsilon languages, whose execution never needs it.
-        plan_meta: compiled-plan metadata of the infix-free automaton (state
-            and transition counts, emptiness flags) — cheap cross-checks and
-            observability, not inputs to any computation.
-    """
-
-    method: str
-    infix_free: Language | None
-    plan_meta: dict
 
 
 @dataclass(frozen=True)
@@ -292,9 +275,12 @@ class StoreBackend:
 
 
 class AnalysisStore(StoreBackend):
-    """A directory of per-fingerprint analysis entries shared across processes.
+    """A directory of per-fingerprint query plans shared across processes.
 
-    One ``.analysis`` file per language fingerprint.  Use :meth:`stats` to
+    One ``.analysis`` file per language fingerprint, holding the language's
+    :class:`~repro.resilience.engine.QueryPlan` and its ``plan_meta`` (state
+    and transition counts of the infix-free automaton: a cheap cross-check
+    of the payload, not an input to any computation).  Use :meth:`stats` to
     observe hit rates, e.g. to assert that a warm benchmark run actually
     exercised the store.
     """
@@ -304,8 +290,8 @@ class AnalysisStore(StoreBackend):
     def _default_salt(self) -> str:
         return code_version_salt()
 
-    def get(self, fingerprint: str) -> StoredAnalysis | None:
-        """Return the stored analysis for a fingerprint, or ``None``.
+    def get(self, fingerprint: str) -> QueryPlan | None:
+        """Return the stored plan for a fingerprint, or ``None``.
 
         Unreadable, stale-version, wrong-salt and internally inconsistent
         entries count as ``ignored`` misses and are evicted on detection.
@@ -314,33 +300,20 @@ class AnalysisStore(StoreBackend):
         def validate(envelope: dict) -> None:
             if envelope["fingerprint"] != fingerprint:
                 raise ValueError("entry does not match its key")
-            if not isinstance(envelope["method"], str):
-                raise ValueError("method is not a string")
-            infix_free = envelope["infix_free"]
-            if infix_free is not None and not isinstance(infix_free, Language):
-                raise ValueError("infix_free is not a Language")
-            if envelope["plan_meta"] != _plan_meta(infix_free):
+            plan = envelope["plan"]
+            if not isinstance(plan, QueryPlan):
+                raise ValueError("payload is not a QueryPlan")
+            if envelope["plan_meta"] != _plan_meta(plan.infix_free):
                 raise ValueError("plan metadata does not match the payload")
 
         envelope = self._load(fingerprint, validate)
-        if envelope is None:
-            return None
-        return StoredAnalysis(
-            method=envelope["method"],
-            infix_free=envelope["infix_free"],
-            plan_meta=envelope["plan_meta"],
-        )
+        return None if envelope is None else envelope["plan"]
 
-    def put(self, fingerprint: str, *, method: str, infix_free: Language | None) -> None:
-        """Persist one analysis entry atomically (last writer wins)."""
+    def put(self, fingerprint: str, plan: QueryPlan) -> None:
+        """Persist one plan atomically (last writer wins)."""
         self._store(
             fingerprint,
-            {
-                "fingerprint": fingerprint,
-                "method": method,
-                "infix_free": infix_free,
-                "plan_meta": _plan_meta(infix_free),
-            },
+            {"fingerprint": fingerprint, "plan": plan, "plan_meta": _plan_meta(plan.infix_free)},
         )
 
 

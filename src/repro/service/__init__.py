@@ -10,14 +10,15 @@ a serving subsystem for query fleets:
   ``max_seconds`` budgets for the exact fallback.
 * **Session language cache** (:mod:`~repro.service.cache`): duplicate *and
   equivalent* queries resolve to one shared
-  :class:`~repro.languages.core.Language` — the canonical layer fingerprints
-  every query by its minimal DFA, so ``(ab)*a`` and ``a(ba)*`` share one
-  memoized infix-free sublanguage and one classification; an optional
-  :class:`~repro.service.cache.AnalysisStore` persists those analyses on disk
+  :class:`~repro.resilience.engine.QueryPlan` — the canonical layer
+  fingerprints every query by its minimal DFA, so ``(ab)*a`` and ``a(ba)*``
+  share one infix-free sublanguage, one classification and one artefact; an
+  optional :class:`~repro.service.cache.AnalysisStore` persists plans on disk
   across processes (see ``src/repro/service/README.md`` for the full cache
   hierarchy).
-* **Scheduler** (:mod:`~repro.service.scheduler`): every query is classified
-  first and flow-tractable queries run before exact fallbacks.
+* **Scheduler** (:mod:`~repro.service.scheduler`): every query is planned
+  first and flow-tractable queries run before exact fallbacks; workers
+  receive the plans and do database work only.
 * **Serving** (:mod:`~repro.service.serve`, :mod:`~repro.service.server`):
   :func:`~repro.service.serve.resilience_serve` executes one planned workload
   serially or over a process pool and returns structured

@@ -7,7 +7,7 @@ The implementations live next to the dispatcher whose analyses they memoize —
 them for :func:`~repro.resilience.engine.resilience_many` and cannot depend on
 this higher-level package.  This module re-exports them as part of the service
 API; see the class docstrings for the full cache hierarchy (instance memo →
-session string cache → canonical cross-instance cache → on-disk store) and
+session string cache → canonical plan cache → on-disk plan store) and
 ``src/repro/service/README.md`` for when each layer hits.
 """
 
@@ -18,7 +18,6 @@ from ..resilience.store import (
     AnalysisStore,
     ResultStore,
     StoreBackend,
-    StoredAnalysis,
     StoreStats,
     code_version_salt,
     result_code_salt,
@@ -31,7 +30,6 @@ __all__ = [
     "ResultStore",
     "StoreBackend",
     "StoreStats",
-    "StoredAnalysis",
     "code_version_salt",
     "result_code_salt",
 ]

@@ -1,10 +1,11 @@
-"""Workload scheduling: classify first, run cheap flow queries before exact.
+"""Workload scheduling: plan first, run cheap flow queries before exact.
 
 Planning a workload resolves every query through the session
-:class:`~repro.service.cache.LanguageCache` (one parse + one infix-free
-computation + one classification per *distinct* query) and orders execution so
-that all flow-tractable queries run before any exact fallback.  Exact queries
-have unbounded worst-case cost, so flow-first guarantees a pathological exact
+:class:`~repro.service.cache.LanguageCache` to its
+:class:`~repro.resilience.engine.QueryPlan` (one parse + one plan per
+*distinct* query class) and orders execution so that all flow-tractable
+queries run before any exact fallback.  Exact queries have unbounded
+worst-case cost, so flow-first guarantees a pathological exact
 query can never head-block the polynomial ones: every tractable query is
 dispatched (and, serially, answered) before the first potentially-exponential
 search starts.  The trade-off is makespan under a pool — a longest-job-first
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..languages.core import Language
+from ..resilience.engine import QueryPlan
 from .cache import LanguageCache
 from .outcome import ERROR, QueryOutcome
 from .workload import QuerySpec, Workload
@@ -48,32 +50,24 @@ def runs_exact_class(method: str) -> bool:
 
 @dataclass(frozen=True)
 class ScheduledQuery:
-    """One planned query: its workload position, resolved language and method.
+    """One planned query: its workload position, resolved language and plan.
 
-    The ``language`` carries its memoized infix-free sublanguage, so shipping a
-    scheduled query to a worker process ships the expensive derivation with it.
-    ``intern_key`` identifies the language's equivalence class (its canonical
-    fingerprint when the session cache computed one, else the expression
-    string): worker processes intern languages under this key, so a warm
-    worker serves repeat or equivalent queries from its own memoized instance
-    instead of the freshly unpickled copy.
+    The ``plan`` is the session cache's shared plan for the query's class, so
+    shipping a scheduled query to a worker process ships every query-only
+    derivation with it.  A spec that forces a method keeps ``plan=None``: its
+    plan is built and validated when it executes, so an inapplicable forced
+    method fails as that query's outcome.
     """
 
     index: int
     spec: QuerySpec
     language: Language
-    planned_method: str
-    intern_key: str | None = None
+    plan: QueryPlan | None
 
-
-def _intern_key(spec: QuerySpec, language: Language) -> str | None:
-    """The worker-side interning key of a scheduled query (cheap: never
-    *computes* a fingerprint, only reuses one the cache already memoized)."""
-    if language._fingerprint is not None:
-        return f"fp:{language._fingerprint}"
-    if isinstance(spec.query, str):
-        return f"re:{spec.query}"
-    return None
+    @property
+    def planned_method(self) -> str:
+        """The method the query will run (the forced one, if any)."""
+        return self.plan.method if self.plan is not None else self.spec.method
 
 
 def plan_workload(
@@ -92,16 +86,12 @@ def plan_workload(
     for index, spec in enumerate(workload):
         try:
             language = cache.language(spec.query)
-            if spec.method is None:
-                planned = cache.method(language)
-            else:
-                planned = spec.method
-                # The dispatcher path computes (and memoizes) the infix-free
-                # sublanguage while classifying; warm it for forced methods too
-                # so workers always receive it precomputed — except for epsilon
-                # languages, whose execution short-circuits before needing it.
-                if not language.contains(""):
-                    language.infix_free()
+            plan = cache.plan(language) if spec.method is None else None
+            # Forced methods are planned at execution; warm the infix-free
+            # sublanguage they start from so workers receive it precomputed —
+            # except for epsilon languages, whose plan never needs it.
+            if plan is None and not language.contains(""):
+                language.infix_free()
         except Exception as error:
             failed.append(
                 QueryOutcome(
@@ -113,9 +103,7 @@ def plan_workload(
                 )
             )
             continue
-        scheduled.append(
-            ScheduledQuery(index, spec, language, planned, _intern_key(spec, language))
-        )
+        scheduled.append(ScheduledQuery(index, spec, language, plan))
     scheduled.sort(
         key=lambda item: (
             _METHOD_PRIORITY.get(item.planned_method, len(_METHOD_PRIORITY)),

@@ -15,25 +15,20 @@ execution strategy.
 
 Each worker process receives the database once (through the pool initializer)
 and warms its fact index a single time; individual tasks then only ship the
-scheduled query, whose language carries its memoized infix-free sublanguage.
-Workers additionally *intern* languages by their scheduled
-:attr:`~repro.service.scheduler.ScheduledQuery.intern_key` (canonical
-fingerprint or expression string): the first task of an equivalence class
-installs its language in the worker's intern table, and every later repeat or
-equivalent query on that worker runs against the installed instance — shared
-memoized analyses instead of a freshly unpickled copy per task.
+scheduled query, whose :class:`~repro.resilience.engine.QueryPlan` carries
+every query-only derivation, so a worker does database work only.  A plan
+unpickled per task needs no interning: its automata compare equal to the
+last task's, so the database's compiled-graph cache still hits.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import replace
 
 from ..exceptions import SearchBudgetExceeded
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
-from ..languages.core import Language
-from ..resilience.engine import reforce_planned_method, resilience, warm_database
+from ..resilience.engine import execute, plan_query, warm_database
 from .cache import LanguageCache
 from .cancellation import DEADLINE_STATE, FLAG_LIVE, FLAG_STATES
 from .outcome import BUDGET_EXCEEDED, ERROR, OK, QueryOutcome
@@ -47,17 +42,16 @@ def _execute(item: ScheduledQuery, database: AnyDatabase) -> QueryOutcome:
     """Run one scheduled query, converting failures into structured outcomes."""
     spec = item.spec
     try:
-        run_method, run_unsafe = reforce_planned_method(
-            spec.method, spec.unsafe, lambda: item.planned_method
-        )
-        result = resilience(
-            item.language,
+        plan = item.plan
+        if plan is None:
+            plan = plan_query(item.language, method=spec.method, unsafe=spec.unsafe)
+        result = execute(
+            plan,
             database,
-            method=run_method,
-            unsafe=run_unsafe,
             semantics=spec.semantics,
             exact_max_nodes=spec.max_nodes,
             exact_max_seconds=spec.max_seconds,
+            name=item.language.name or "",
         )
     except SearchBudgetExceeded as error:
         return QueryOutcome(
@@ -100,7 +94,6 @@ def cancelled_outcome(item: ScheduledQuery, status: str, reason: str) -> QueryOu
 # ---------------------------------------------------------------------- workers
 
 _WORKER_DATABASE: AnyDatabase | None = None
-_WORKER_LANGUAGES: dict[str, Language] = {}
 _WORKER_CANCEL_FLAGS = None
 
 
@@ -110,30 +103,12 @@ def _worker_init(database: AnyDatabase, cancel_flags=None) -> None:
     global _WORKER_DATABASE, _WORKER_CANCEL_FLAGS
     _WORKER_DATABASE = database
     _WORKER_CANCEL_FLAGS = cancel_flags
-    _WORKER_LANGUAGES.clear()
     warm_database(database)
-
-
-def _intern_scheduled(item: ScheduledQuery) -> ScheduledQuery:
-    """Resolve a task's language through the worker's intern table.
-
-    The first language of each intern key wins; later tasks with the same key
-    run against the installed instance (relabelled to their own display name
-    when an *equivalent* query spelled the language differently), accumulating
-    memoized analyses per worker instead of per task.
-    """
-    if item.intern_key is None:
-        return item
-    interned = _WORKER_LANGUAGES.setdefault(item.intern_key, item.language)
-    if interned is item.language:
-        return item
-    language = interned if interned.name == item.language.name else interned.relabelled(item.language.name)
-    return replace(item, language=language)
 
 
 def _worker_run(item: ScheduledQuery) -> QueryOutcome:
     assert _WORKER_DATABASE is not None, "worker used before initialization"
-    return _execute(_intern_scheduled(item), _WORKER_DATABASE)
+    return _execute(item, _WORKER_DATABASE)
 
 
 def _worker_cancel_state(entry: tuple[int | None, float | None], now: float):
@@ -208,8 +183,7 @@ def resilience_serve(
             pool contention.
         cache: optional session :class:`LanguageCache` to share planning work
             across multiple serve calls; ``LanguageCache(store=...)``
-            persists classifications and infix-free sublanguages across
-            processes.
+            persists query plans across processes.
 
     Returns:
         one :class:`QueryOutcome` per workload entry, in workload order.

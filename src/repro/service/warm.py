@@ -1,10 +1,10 @@
 """Store-warming pass: pre-analyse a query corpus before traffic arrives.
 
-Cold starts pay the full analysis price for every first-seen query class —
-parsing, the infix-free construction, classification — and, for repeated
-query × database pairs, the resilience computation itself.  This module moves
-that cost to a deploy-time pass: :func:`warm_queries` pre-classifies a corpus
-of queries into an :class:`~repro.service.cache.AnalysisStore`, and
+Cold starts pay the full planning price for every first-seen query class —
+parsing, the infix-free construction, classification, the method's artefact —
+and, for repeated query × database pairs, the resilience computation itself.
+This module moves that cost to a deploy-time pass: :func:`warm_queries` plans
+a corpus of queries into an :class:`~repro.service.cache.AnalysisStore`, and
 :func:`warm_trace` additionally pre-computes the results of a
 :class:`~repro.traffic.generator.TrafficTrace`'s query mix into a
 :class:`~repro.service.cache.ResultStore`, so a fresh process's first serve
@@ -31,7 +31,7 @@ import sys
 from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Mapping
 
-from ..resilience.engine import reforce_planned_method, resilience, warm_database
+from ..resilience.engine import resilience_many, warm_database
 from .cache import AnalysisStore, LanguageCache, ResultStore
 from .workload import QuerySpec
 
@@ -82,7 +82,7 @@ def warm_queries(
     databases: "Mapping[str, object] | Iterable | None" = None,
     cache: LanguageCache | None = None,
 ) -> WarmReport:
-    """Pre-classify a query corpus into an analysis store.
+    """Pre-plan a query corpus into an analysis store.
 
     ``corpus`` holds queries (strings, languages, RPQs) or full
     :class:`QuerySpec` items.  With ``result_store`` and ``databases``, the
@@ -101,7 +101,7 @@ def warm_queries(
     for spec in specs:
         try:
             language = cache.language(spec.query)
-            cache.method(language)
+            cache.plan(language)
         except Exception as error:
             skipped.append(f"{spec.display_name()!r}: {error}")
             continue
@@ -130,42 +130,25 @@ def warm_queries(
 
 
 def _warm_result(cache: LanguageCache, spec: QuerySpec, database, skipped: list[str]) -> int:
-    """Compute and store one query × database result; returns computations run."""
+    """Compute and store one query × database result; returns computations run.
+
+    Deliberately budget-less: a stored result serves only un-budgeted
+    lookups, and a completed computation is budget-independent.
+    """
+    hits = cache.stats.result_hits
     try:
-        language = cache.language(spec.query)
-        # Deliberately budget-less: a stored result serves only un-budgeted
-        # lookups, and a completed computation is budget-independent.
-        cached = cache.lookup_result(
-            language,
+        resilience_many(
+            [spec.query],
             database,
-            semantics=spec.semantics,
             method=spec.method,
             unsafe=spec.unsafe,
-        )
-        if cached is not None:
-            return 0
-        run_method, run_unsafe = reforce_planned_method(
-            spec.method, spec.unsafe, lambda: cache.method(language)
-        )
-        result = resilience(
-            language,
-            database,
-            method=run_method,
-            unsafe=run_unsafe,
             semantics=spec.semantics,
+            cache=cache,
         )
-        cache.store_result(
-            language,
-            database,
-            result,
-            semantics=spec.semantics,
-            method=spec.method,
-            unsafe=spec.unsafe,
-        )
-        return 1
     except Exception as error:
         skipped.append(f"{spec.display_name()!r}: {error}")
         return 0
+    return int(cache.stats.result_hits == hits)
 
 
 def warm_trace(

@@ -29,12 +29,13 @@ class TestBoundedLru:
     def test_size_bound_holds_per_layer(self, database):
         cache = LanguageCache(max_entries=3)
         resilience_many(DISTINCT, database, cache=cache)
-        # Four layers (expression, class, method memo, result), each capped.
+        # Three layers (expression, class, result), each capped; the plan
+        # memo is used only by canonical=False caches.
         assert len(cache._by_expression) <= 3
         assert len(cache._classes) <= 3
-        assert len(cache._methods) <= 3
+        assert len(cache._plans) == 0
         assert len(cache._results) <= 3
-        assert cache.stats.entries <= 12
+        assert cache.stats.entries <= 9
         assert cache.stats.evictions > 0
 
     def test_unbounded_cache_never_evicts(self, database):
@@ -42,10 +43,7 @@ class TestBoundedLru:
         resilience_many(DISTINCT + DISTINCT, database, cache=cache)
         assert cache.stats.evictions == 0
         assert cache.stats.entries == (
-            len(cache._by_expression)
-            + len(cache._classes)
-            + len(cache._methods)
-            + len(cache._results)
+            len(cache._by_expression) + len(cache._classes) + len(cache._results)
         )
 
     def test_lru_order_keeps_the_recently_used(self, database):
@@ -95,7 +93,7 @@ class TestBoundedLru:
         cache = LanguageCache(max_entries=1)
         resilience_many(DISTINCT + DISTINCT, database, cache=cache)
         assert cache.stats.bytes_estimate >= 0
-        assert cache.stats.entries == 4  # one entry per layer
+        assert cache.stats.entries == 3  # one entry per layer
 
     def test_gauges_round_trip_through_stats_surfaces(self, database):
         cache = LanguageCache(max_entries=2)
@@ -163,12 +161,12 @@ class _FootprintTracker:
     Duck-typed to the soak runner's ``leak_tracker`` hook (``start`` /
     ``stop`` / ``leaks``): records the bounded cache's ``entries`` gauge at
     start and reports a leak if the footprint at stop exceeds the hard bound
-    the cache's ``max_entries`` implies (4 layers × max_entries).
+    the cache's ``max_entries`` implies (3 layers × max_entries).
     """
 
     def __init__(self, cache: LanguageCache, max_entries: int) -> None:
         self._cache = cache
-        self._bound = 4 * max_entries
+        self._bound = 3 * max_entries
         self.started_at = None
         self.stopped_at = None
 

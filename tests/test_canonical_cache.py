@@ -7,7 +7,7 @@ Three pinned guarantees:
   equal (languages over one fixed alphabet, so the alphabet component of the
   fingerprint never masks a disagreement);
 * an :class:`AnalysisStore` round-trip is indistinguishable from a fresh
-  computation — same method, byte-identical infix-free automaton, identical
+  computation — same plan, byte-identical infix-free automaton, identical
   resilience results;
 * the store never trusts what it cannot validate: corrupted bytes, a stale
   code-version salt and a mis-keyed entry are all ignored and recomputed.
@@ -24,7 +24,9 @@ from repro.languages.operations import equivalent
 from repro.resilience import (
     AnalysisStore,
     LanguageCache,
-    choose_method,
+    execute,
+    plan_query,
+    resilience,
     resilience_many,
 )
 
@@ -89,13 +91,14 @@ class TestStoreRoundTrip:
     def test_round_trip_equals_fresh_computation(self, tmp_path_factory, expression):
         store = AnalysisStore(tmp_path_factory.mktemp("store"))
         fresh = language(expression)
-        method = choose_method(fresh)
+        plan = plan_query(fresh)
         fingerprint = fresh.fingerprint()
-        store.put(fingerprint, method=method, infix_free=fresh._infix_free)
+        store.put(fingerprint, plan)
 
         loaded = store.get(fingerprint)
         assert loaded is not None
-        assert loaded.method == method
+        assert loaded.method == plan.method
+        assert loaded.artefact == plan.artefact
         if fresh._infix_free is None:
             assert loaded.infix_free is None
         else:
@@ -124,15 +127,39 @@ class TestStoreRoundTrip:
         assert warm_store.stats().writes == 0
 
 
+class TestPlanRoundTrip:
+    """``execute(plan, db)`` equals ``resilience(query, db)`` for the plan as
+    built, after a pickle, and as read back by a second store instance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(regexes(), st.booleans())
+    def test_every_copy_of_a_plan_executes_like_resilience(self, tmp_path_factory, expression, bag):
+        database = generators.random_labelled_graph(4, 9, ALPHABET, seed=1)
+        if bag:
+            database = generators.random_bag_database(4, 9, ALPHABET, seed=2, max_multiplicity=3)
+        reference = resilience(expression, database)
+        fresh = language(expression)
+        plan = plan_query(fresh)
+        directory = tmp_path_factory.mktemp("plans")
+        AnalysisStore(directory).put(fresh.fingerprint(), plan)
+        stored = AnalysisStore(directory).get(fresh.fingerprint())
+        for copy in (plan, pickle.loads(pickle.dumps(plan)), stored):
+            result = execute(copy, database, name=expression)
+            assert (result.value, result.method) == (reference.value, reference.method)
+            assert result.contingency_set == reference.contingency_set
+            assert result.details == reference.details
+            assert result.details.get("nodes_explored") == reference.details.get("nodes_explored")
+
+
 class TestStoreValidation:
     QUERY = "ab|ba"
 
     def populate(self, directory):
         store = AnalysisStore(directory)
         fresh = language(self.QUERY)
-        method = choose_method(fresh)
-        store.put(fresh.fingerprint(), method=method, infix_free=fresh._infix_free)
-        return fresh.fingerprint(), method
+        plan = plan_query(fresh)
+        store.put(fresh.fingerprint(), plan)
+        return fresh.fingerprint(), plan.method
 
     def test_corrupted_entry_is_ignored_not_trusted(self, tmp_path):
         fingerprint, _ = self.populate(tmp_path)
@@ -153,7 +180,7 @@ class TestStoreValidation:
     def test_stale_code_version_salt_is_ignored_and_evicted(self, tmp_path):
         fresh = language(self.QUERY)
         stale = AnalysisStore(tmp_path, salt="0123456789abcdef")
-        stale.put(fresh.fingerprint(), method="exact", infix_free=fresh.infix_free())
+        stale.put(fresh.fingerprint(), plan_query(fresh))
         current = AnalysisStore(tmp_path)
         assert current.get(fresh.fingerprint()) is None
         assert current.stats().ignored == 1
@@ -163,6 +190,26 @@ class TestStoreValidation:
         assert len(current) == 0
         assert current.get(fresh.fingerprint()) is None
         assert current.stats().ignored == 1
+
+    def test_format_1_entry_is_ignored_and_evicted(self, tmp_path):
+        # A valid entry of the layout before query plans (a method and an
+        # infix-free language) under format version 1 and the current salt.
+        fresh = language(self.QUERY)
+        automaton = fresh.infix_free().automaton
+        store = AnalysisStore(tmp_path)
+        path = tmp_path / f"{fresh.fingerprint()}.analysis"
+        path.write_bytes(pickle.dumps({
+            "format": 1,
+            "salt": store.salt,
+            "fingerprint": fresh.fingerprint(),
+            "method": "bcl-flow",
+            "infix_free": fresh.infix_free(),
+            "plan_meta": {"states": len(automaton.states), "transitions": len(automaton.transitions)},
+        }))
+        assert store.get(fresh.fingerprint()) is None
+        assert store.stats().ignored == 1
+        assert store.stats().evictions == 1
+        assert not path.exists()
 
     def test_ignored_entries_are_not_revalidated_forever(self, tmp_path):
         """The satellite bug: a poisoned file used to be re-read and

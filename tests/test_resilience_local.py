@@ -72,7 +72,10 @@ class TestCorrectness:
 
     def test_unchecked_combined_complexity_mode(self):
         database = GraphDatabase.from_edges([("s", "a", "u"), ("u", "x", "v"), ("v", "b", "t")])
-        result = resilience_local(Language.from_regex("ax*b"), database, check_local=False)
+        language = Language.from_regex("ax*b")
+        result = resilience_local(
+            language, database, automaton=read_once.read_once_automaton_unchecked(language)
+        )
         assert result.value == 1
 
     def test_epsilon_language(self):

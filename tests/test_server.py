@@ -12,6 +12,7 @@ The server's contract has three parts the serving tests don't cover:
 """
 
 import os
+import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,7 +22,7 @@ from repro.exceptions import ReproError
 from repro.graphdb import generators
 from repro.service import ERROR, OK, LanguageCache, QuerySpec, ResilienceServer, Workload
 from repro.service.scheduler import plan_workload
-from repro.service.serve import _intern_scheduled, _WORKER_LANGUAGES, resilience_serve
+from repro.service.serve import _execute, resilience_serve
 
 MIXED = ["ax*b", "ab|bc", "aa", "ab", "ε|a", "abc|be"]
 
@@ -286,34 +287,28 @@ class TestCrashRecovery:
         _nudge_pool(pool)  # closed server: pool already shut down
 
 
-class TestWorkerInterning:
-    def test_equivalent_languages_intern_to_one_instance(self, database):
-        _WORKER_LANGUAGES.clear()
-        workload = Workload.coerce(["(ab)*a", "a(ba)*", "(ab)*a"])
+class TestSharedPlans:
+    def test_equivalent_queries_share_one_plan(self):
+        workload = Workload.coerce(
+            ["(ab)*a", "a(ba)*", "(ab)*a", QuerySpec("ab", method="exact"), QuerySpec(42)]
+        )
         scheduled, failed = plan_workload(workload, LanguageCache())
-        assert not failed
-        try:
-            interned = [_intern_scheduled(item) for item in scheduled]
-            shared = {id(item.language._infix_free) for item in interned}
-            assert len(shared) == 1, "one intern entry per equivalence class"
-            assert len(_WORKER_LANGUAGES) == 1
-            by_index = {item.index: item for item in interned}
-            assert by_index[1].language.name == "a(ba)*"  # display names survive
-        finally:
-            _WORKER_LANGUAGES.clear()
+        assert [outcome.index for outcome in failed] == [4]
+        by_index = {item.index: item for item in scheduled}
+        assert by_index[0].plan is by_index[1].plan is by_index[2].plan
+        assert by_index[1].language.name == "a(ba)*"  # display names survive
+        # A forced method is planned (and validated) when it executes.
+        assert by_index[3].plan is None
+        assert by_index[3].planned_method == "exact"
 
-    def test_intern_keys_come_from_canonical_fingerprints(self):
-        workload = Workload.coerce(["(ab)*a", "a(ba)*", QuerySpec(42)])
-        scheduled, failed = plan_workload(workload, LanguageCache())
-        keys = {item.index: item.intern_key for item in scheduled}
-        assert keys[0] == keys[1]
-        assert keys[0].startswith("fp:")
-        assert [outcome.index for outcome in failed] == [2]
-
-    def test_string_cache_falls_back_to_expression_keys(self):
-        workload = Workload.coerce(["(ab)*a", "a(ba)*"])
-        scheduled, _ = plan_workload(workload, LanguageCache(canonical=False))
-        keys = {item.index: item.intern_key for item in scheduled}
-        assert keys[0] == "re:(ab)*a"
-        assert keys[1] == "re:a(ba)*"
-        assert keys[0] != keys[1]
+    def test_shipped_plans_execute_like_the_session_plans(self, database):
+        # A pool task pickles its chunk; the worker runs the unpickled plans
+        # as they are, with no intern table, and must answer identically.
+        workload = Workload.coerce(MIXED + ["a(ba)*", "(ab)*a", QuerySpec("aa", method="exact")])
+        scheduled, _ = plan_workload(workload, LanguageCache())
+        shipped = pickle.loads(pickle.dumps(scheduled))
+        by_index = {item.index: item for item in shipped}
+        assert by_index[len(MIXED)].plan is by_index[len(MIXED) + 1].plan
+        assert [_execute(item, database) for item in shipped] == [
+            _execute(item, database) for item in scheduled
+        ]

@@ -73,10 +73,11 @@ class TestLanguageCache:
         assert cache.language("ab|bc") is cache.language("ab|bc")
         assert len(cache) == 1
 
-    def test_method_is_memoized_per_instance(self):
+    def test_plan_is_memoized(self):
         cache = LanguageCache()
         language = cache.language("ab|bc")
-        assert cache.method(language) == "bcl-flow"
+        plan = cache.plan(language)
+        assert plan.method == "bcl-flow"
         calls = []
         original = Language.infix_free
 
@@ -86,7 +87,7 @@ class TestLanguageCache:
 
         Language.infix_free = counting
         try:
-            assert cache.method(language) == "bcl-flow"
+            assert cache.plan(language) is plan
         finally:
             Language.infix_free = original
         assert calls == []

@@ -20,7 +20,7 @@ from repro.resilience import (
     AnalysisStore,
     LanguageCache,
     ResultStore,
-    choose_method,
+    plan_query,
     resilience,
 )
 from repro.service import ResilienceServer
@@ -158,7 +158,7 @@ class TestCompaction:
         store = AnalysisStore(tmp_path)
         languages = [Language.from_regex(expression) for expression in EXPRESSIONS]
         for index, language in enumerate(languages):
-            store.put(language.fingerprint(), method="exact", infix_free=None)
+            store.put(language.fingerprint(), plan_query(language))
             # Distinct mtimes so age order is unambiguous on coarse clocks.
             path = tmp_path / f"{language.fingerprint()}.analysis"
             os.utime(path, (index, index))
@@ -173,11 +173,11 @@ class TestCompaction:
     def test_max_age_drops_stale_entries(self, tmp_path):
         store = AnalysisStore(tmp_path)
         language = Language.from_regex("ab")
-        store.put(language.fingerprint(), method="exact", infix_free=None)
+        store.put(language.fingerprint(), plan_query(language))
         path = tmp_path / f"{language.fingerprint()}.analysis"
         os.utime(path, (1, 1))  # 1970: ancient
         fresh = Language.from_regex("ba")
-        store.put(fresh.fingerprint(), method="exact", infix_free=None)
+        store.put(fresh.fingerprint(), plan_query(fresh))
         evicted = store.compact(max_age_seconds=3600.0)
         assert evicted == 1
         assert store.get(fresh.fingerprint()) is not None
@@ -185,7 +185,8 @@ class TestCompaction:
 
     def test_compact_without_bounds_is_a_no_op(self, tmp_path):
         store = AnalysisStore(tmp_path)
-        store.put(Language.from_regex("ab").fingerprint(), method="exact", infix_free=None)
+        language = Language.from_regex("ab")
+        store.put(language.fingerprint(), plan_query(language))
         assert store.compact() == 0
         assert len(store) == 1
 
@@ -212,10 +213,11 @@ def _torture_worker(args):
     for round_index in range(ROUNDS):
         entries = list(corpus)
         rng.shuffle(entries)
-        for fingerprint, method, infix_free, key, result in entries:
+        for fingerprint, plan, key, result in entries:
+            method = plan.method
             action = rng.random()
             if action < 0.45:
-                analyses.put(fingerprint, method=method, infix_free=infix_free)
+                analyses.put(fingerprint, plan)
                 results.put(key, result)
             elif action < 0.9:
                 loaded = analyses.get(fingerprint)
@@ -242,7 +244,6 @@ class TestMultiProcessTorture:
         corpus = []
         for expression in EXPRESSIONS:
             language = Language.from_regex(expression)
-            method = choose_method(language)
             key = (
                 language.fingerprint(),
                 database.content_fingerprint(),
@@ -251,8 +252,7 @@ class TestMultiProcessTorture:
                 False,
             )
             corpus.append(
-                (language.fingerprint(), method, language._infix_free, key,
-                 resilience(language, database))
+                (language.fingerprint(), plan_query(language), key, resilience(language, database))
             )
         jobs = [(str(tmp_path), worker_id, corpus) for worker_id in range(WORKERS)]
         with ProcessPoolExecutor(max_workers=WORKERS) as pool:
@@ -272,12 +272,12 @@ class TestMultiProcessTorture:
         # surface as validation failures or persistent misses here).
         analyses = AnalysisStore(tmp_path / "analysis")
         results = ResultStore(tmp_path / "result")
-        for fingerprint, method, infix_free, key, result in corpus:
-            analyses.put(fingerprint, method=method, infix_free=infix_free)
+        for fingerprint, plan, key, result in corpus:
+            analyses.put(fingerprint, plan)
             results.put(key, result)
-        for fingerprint, method, infix_free, key, result in corpus:
+        for fingerprint, plan, key, result in corpus:
             loaded = analyses.get(fingerprint)
-            assert loaded is not None and loaded.method == method
+            assert loaded is not None and loaded.method == plan.method
             assert results.get(key) == result
         assert analyses.stats().ignored == 0
         assert results.stats().ignored == 0

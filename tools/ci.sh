@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Single CI entry point: the analysis gate, tier-1 tests, the serving
 # benchmark's self-tests, the leak-sanitized serving suites, the on-disk store
-# runs, the warm CLI, and the benchmark smoke pass with its artefact guards.
+# runs, the warm CLI, an install from a clean copy, and the benchmark smoke
+# pass with its artefact guards.
 # What the serving stack must answer (serve parity, solver differential,
 # soaks, kill recovery, metrics scrape, warm stores) is asserted by tier-1;
 # this script only sequences invocations.
@@ -13,8 +14,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
-# Everything this script writes lands here, so a run leaves the checkout
-# (committed BENCH_*.json artefacts included) untouched.
+# Everything this script writes lands here (benchmark artefacts included:
+# the guards below read them from $REPRO_BENCH_DIR), so a run leaves the
+# checkout untouched.
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
@@ -54,16 +56,29 @@ python -m pytest -q perfbench/selftest.py
 echo "ci: leak-sanitized service/exchange/traffic suites (threads, processes, sockets, temp dirs)"
 REPRO_LEAK_SANITIZER=on python -m pytest -q tests/test_server.py tests/test_async_server.py tests/test_exchange.py tests/test_traffic.py
 
-echo "ci: conformance suite, on-disk analysis store cold then warm"
+# A warming process and a serving process never share a hash seed, and
+# stored plans pickle frozenset-based automata: the warm half must read back
+# under a different seed than the cold half wrote with.
+echo "ci: conformance suite, on-disk analysis store cold (PYTHONHASHSEED=0) then warm (=123)"
 mkdir "$SCRATCH/analysis-store"
-REPRO_ANALYSIS_STORE="$SCRATCH/analysis-store" python -m pytest -q tests/test_conformance.py
-REPRO_ANALYSIS_STORE="$SCRATCH/analysis-store" python -m pytest -q tests/test_conformance.py
+PYTHONHASHSEED=0 REPRO_ANALYSIS_STORE="$SCRATCH/analysis-store" python -m pytest -q tests/test_conformance.py
+PYTHONHASHSEED=123 REPRO_ANALYSIS_STORE="$SCRATCH/analysis-store" python -m pytest -q tests/test_conformance.py
 
 echo "ci: warm CLI (the python -m repro.service.warm entry point)"
 python -m repro.service.warm \
   --analysis-store "$SCRATCH/warm/analysis" \
   --result-store "$SCRATCH/warm/result" \
   --trace-seed 7 --trace-requests 16 > "$SCRATCH/warm.json"
+
+echo "ci: install from a clean copy (fresh venv without system site-packages, offline)"
+mkdir "$SCRATCH/install"
+cp -r setup.py src examples "$SCRATCH/install/"
+python -m venv "$SCRATCH/install/venv"
+(cd "$SCRATCH/install" && env -u PYTHONPATH venv/bin/python -W ignore setup.py -q develop > /dev/null)
+# Run from outside the copy with PYTHONPATH unset: only the install can
+# provide the package.
+(cd "$SCRATCH" && env -u PYTHONPATH install/venv/bin/python install/examples/quickstart.py > /dev/null)
+echo "ci: installed package runs examples/quickstart.py"
 
 echo "ci: benchmark smoke pass (includes bench_resilience_serve + bench_flow_core)"
 export REPRO_BENCH_DIR="$SCRATCH/bench"
