@@ -113,11 +113,11 @@ def test_merged_stream_latency_and_admission_overhead():
 
     # canonical=False keeps the result-level cache from short-circuiting the
     # repeat rounds: every round re-executes, so the two paths are compared on
-    # real serving work rather than on cache replay.  parallel=False keeps
+    # real serving work rather than on cache replay.  max_workers=1 keeps
     # process-pool scheduling jitter out of *both* arms — the comparison
     # isolates the front-end (queue, drain thread, asyncio bridge), which is
     # identical machinery over either execution mode.
-    exchange = ThreadExchange(nodes=1, parallel=False, cache=LanguageCache(canonical=False))
+    exchange = ThreadExchange(nodes=1, max_workers=1, cache=LanguageCache(canonical=False))
     envelope = WorkloadEnvelope.single(workload, graph)
     reference = resilience_serve(workload, graph, parallel=False, cache=LanguageCache(canonical=False))
     direct_seconds = []
@@ -181,7 +181,7 @@ def test_merged_stream_latency_and_admission_overhead():
         "rounds": rounds,
         "workload_size": len(workload),
         "concurrent_workloads": CONCURRENT_WORKLOADS,
-        "direct_serve_iter_ms": round(direct_best * 1e3, 3),
+        "direct_exchange_submit_ms": round(direct_best * 1e3, 3),
         "async_submit_ms": round(async_best * 1e3, 3),
         "admission_overhead": round(overhead, 4),
         "admission_overhead_median": round(overhead_median, 4),

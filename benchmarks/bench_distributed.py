@@ -74,7 +74,7 @@ def test_routed_exchange_is_outcome_identical():
     other_reference = resilience_serve(
         workload, other, parallel=False, cache=fresh_cache()
     )
-    with ThreadExchange(nodes=NODES, parallel=False, cache=fresh_cache()) as exchange:
+    with ThreadExchange(nodes=NODES, max_workers=1, cache=fresh_cache()) as exchange:
         routed = sorted_outcomes(
             exchange.submit(WorkloadEnvelope.single(workload, graph))
         )
@@ -102,15 +102,15 @@ def test_routing_overhead():
     rounds = 3 if smoke_mode() else 9
     reference = resilience_serve(workload, graph, parallel=False, cache=fresh_cache())
 
-    # parallel=False keeps process-pool scheduling jitter out of *both* arms:
+    # max_workers=1 keeps process-pool scheduling jitter out of *both* arms:
     # the comparison isolates the exchange machinery (router, envelope
     # remapping, the kill-check drain loop), which is identical over either
     # execution mode of the node underneath.
-    server = ResilienceServer(graph, parallel=False, cache=fresh_cache())
+    server = ResilienceServer(graph, max_workers=1, cache=fresh_cache())
     direct_seconds = []
     routed_seconds = []
     try:
-        with ThreadExchange(nodes=NODES, parallel=False, cache=fresh_cache()) as exchange:
+        with ThreadExchange(nodes=NODES, max_workers=1, cache=fresh_cache()) as exchange:
             # Warm both arms: database index, caches, and the owner node's
             # warm server registration.
             list(server.serve_iter(workload))

@@ -109,7 +109,7 @@ def _serve_p50() -> float:
     # A string-keyed cache keeps the result-level layer out of the
     # measurement: every pass must genuinely run the flow reductions.
     with ResilienceServer(
-        database, parallel=False, cache=LanguageCache(canonical=False)
+        database, max_workers=1, cache=LanguageCache(canonical=False)
     ) as server:
         server.serve(SERVE_QUERIES)  # warm-up: indexes, substrates, plans
         for _ in range(passes):

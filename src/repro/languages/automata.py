@@ -219,12 +219,6 @@ class EpsilonNFA:
             result[transition[0]].append(transition)
         return dict(result)
 
-    def transitions_by_target(self) -> dict[State, list[Transition]]:
-        result: dict[State, list[Transition]] = defaultdict(list)
-        for transition in self.transitions:
-            result[transition[2]].append(transition)
-        return dict(result)
-
     # ------------------------------------------------------------------ derived indexes
 
     def epsilon_successors(self) -> dict[State, list[State]]:
@@ -565,12 +559,3 @@ def compile_automaton(automaton: EpsilonNFA) -> CompiledAutomaton:
     share a single compiled plan.
     """
     return CompiledAutomaton(automaton)
-
-
-def make_any_state_hashable(value: Any) -> Hashable:
-    """Return a hashable stand-in for ``value`` (sets become frozensets, lists tuples)."""
-    if isinstance(value, (set, frozenset)):
-        return frozenset(make_any_state_hashable(item) for item in value)
-    if isinstance(value, (list, tuple)):
-        return tuple(make_any_state_hashable(item) for item in value)
-    return value

@@ -67,9 +67,9 @@ never mislabelled as budget overruns.
 Parallel equivalence
 --------------------
 
-For workloads whose specs use no ``max_seconds`` budget,
-``resilience_serve(..., parallel=False)`` and any ``max_workers`` produce
-identical outcome lists: both paths run the same per-query function on
+For workloads whose specs use no ``max_seconds`` budget, every
+``max_workers`` produces the same outcome list as ``max_workers=1``, the
+serial in-process reference: both paths run the same per-query function on
 deterministic compiled plans and outcomes carry no timing.  The process pool
 is an execution strategy, never a semantic.  A ``max_seconds`` budget is the
 one escape from this guarantee — it consults the wall clock, so a query near

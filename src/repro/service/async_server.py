@@ -115,13 +115,7 @@ def _synthetic_outcomes(
     """Fabricate one structured outcome per spec from ``start`` on — the shared
     shape of every never-executed path (rejection, expiry, failure)."""
     return [
-        QueryOutcome(
-            index=index,
-            query=specs[index].display_name(),
-            status=status,
-            method=specs[index].method,
-            error=reason,
-        )
+        QueryOutcome.unserved(index, specs[index], status, reason, method=specs[index].method)
         for index in range(start, len(specs))
     ]
 
@@ -1000,13 +994,7 @@ class AsyncResilienceServer:
                     spec = entry.specs[local]
                     self._deliver(
                         entry,
-                        QueryOutcome(
-                            index=local,
-                            query=spec.display_name(),
-                            status=ERROR,
-                            method=spec.method,
-                            error=reason,
-                        ),
+                        QueryOutcome.unserved(local, spec, ERROR, reason, method=spec.method),
                     )
             # Nothing about later specs can work either: fail the tails too,
             # completing every entry of the round instead of re-queueing.

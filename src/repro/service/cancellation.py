@@ -146,18 +146,3 @@ class CancellationToken:
         self._flags = None
         self._slot = None
 
-
-def cancel_lookup(cancel):
-    """Normalize a ``cancel=`` argument into an ``index -> token`` lookup.
-
-    Accepts ``None`` (no lookup), one :class:`CancellationToken` (applies to
-    every query), or a mapping of workload index to token (the merged-round
-    shape the async front-end uses, where each entry of a round keeps its own
-    token).  Returns ``None`` or a callable.
-    """
-    if cancel is None:
-        return None
-    if isinstance(cancel, CancellationToken):
-        return lambda index: cancel
-    getter = cancel.get
-    return lambda index: getter(index)

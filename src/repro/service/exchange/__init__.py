@@ -12,15 +12,7 @@ outcome-identical to the uncached serial reference by the conformance
 suite.
 """
 
-from .base import (
-    CancelMap,
-    EnvelopePart,
-    Exchange,
-    Mailbox,
-    Node,
-    NodeStats,
-    WorkloadEnvelope,
-)
+from .base import EnvelopePart, Exchange, Node, NodeStats, WorkloadEnvelope
 from .health import CircuitBreaker, HealthMonitor, RetryPolicy
 from .http import HttpExchange, HttpNode, HttpNodeLauncher, HttpNodeServer
 from .manager import NodeLauncher, NodeManager, ThreadNodeLauncher
@@ -29,7 +21,6 @@ from .router import Router
 from .threads import RoutedExchange, ThreadExchange
 
 __all__ = [
-    "CancelMap",
     "CircuitBreaker",
     "EnvelopePart",
     "Exchange",
@@ -38,7 +29,6 @@ __all__ = [
     "HttpNode",
     "HttpNodeLauncher",
     "HttpNodeServer",
-    "Mailbox",
     "Node",
     "NodeLauncher",
     "NodeManager",

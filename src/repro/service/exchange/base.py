@@ -18,8 +18,11 @@ the serving stack (front-end → **exchange** → nodes):
 * :class:`Exchange` — the contract the front-end codes against: submit an
   envelope, iterate outcomes (envelope-global indices, completion order),
   plus node registration/heartbeat for the routed implementations.
-* :class:`Mailbox` — the gather half of scatter/gather: serving threads post
-  outcomes from per-node sub-streams, the consumer drains one merged stream.
+
+Cancellation crosses every layer in one shape,
+:data:`~repro.service.server.CancelArg`: a mapping from (envelope-global or
+workload) index to the :class:`~repro.service.cancellation.CancellationToken`
+covering that query.
 
 Every implementation must uphold the serving contract the conformance suite
 pins: exactly one outcome per envelope query (no loss, no duplication, no
@@ -29,24 +32,18 @@ once re-sorted by index.
 
 from __future__ import annotations
 
-import queue
-import threading
 from abc import ABC, abstractmethod
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 from ...exceptions import ReproError
 from ...graphdb.database import BagGraphDatabase, GraphDatabase
 from ...resilience.engine import CacheStats
-from ..cancellation import CancellationToken
 from ..outcome import QueryOutcome
-from ..server import PoolStats
+from ..server import CancelArg, PoolStats
 from ..workload import Workload
 
 AnyDatabase = GraphDatabase | BagGraphDatabase
-
-#: ``cancel=`` shape at the exchange boundary: envelope-global index -> token.
-CancelMap = Mapping[int, CancellationToken] | CancellationToken | None
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ class Node(ABC):
         workload: Workload,
         database: AnyDatabase,
         *,
-        cancel: CancelMap = None,
+        cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
         """Stream outcomes for one workload against one registered database."""
 
@@ -212,7 +209,7 @@ class Exchange(ABC):
 
     @abstractmethod
     def submit(
-        self, envelope: WorkloadEnvelope, *, cancel: CancelMap = None
+        self, envelope: WorkloadEnvelope, *, cancel: CancelArg = None
     ) -> Iterator[QueryOutcome]:
         """Serve one envelope, yielding outcomes with envelope-global indices.
 
@@ -279,47 +276,3 @@ class Exchange(ABC):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-@dataclass
-class Mailbox:
-    """Thread-safe gather stream for a scattered envelope.
-
-    Each scatter thread serves one envelope part and :meth:`post`\\ s its
-    outcomes here; the submitting consumer iterates one merged stream that
-    ends when every part called :meth:`finish_part`.  :meth:`close` is the
-    consumer abandoning the stream: posts become no-ops and serving threads
-    poll :attr:`closed` between outcomes to stop early.
-    """
-
-    expected_parts: int
-    _queue: queue.Queue = field(default_factory=queue.Queue)
-    _finished: int = 0
-    _closed: bool = False
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-
-    _DONE = object()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def post(self, outcome: QueryOutcome) -> None:
-        if not self._closed:
-            self._queue.put(outcome)
-
-    def finish_part(self) -> None:
-        with self._lock:
-            self._finished += 1
-            if self._finished == self.expected_parts:
-                self._queue.put(self._DONE)
-
-    def close(self) -> None:
-        self._closed = True
-        self._queue.put(self._DONE)
-
-    def __iter__(self) -> Iterator[QueryOutcome]:
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                return
-            yield item

@@ -53,7 +53,7 @@ import pickle
 import sys
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic, sleep
@@ -61,12 +61,12 @@ from time import monotonic, sleep
 from ...exceptions import ReproError
 from ..cancellation import CancellationToken
 from ..outcome import QueryOutcome
+from ..server import CancelArg
 from ..workload import Workload
-from .base import AnyDatabase, CancelMap, Node, NodeStats
+from .base import AnyDatabase, Node, NodeStats
 from .health import RetryPolicy
 from .manager import NodeLauncher, NodeManager
 from .nodes import ThreadNode
-from .router import Router
 from .threads import RoutedExchange
 
 #: Exception shapes the client treats as transport faults: retriable on
@@ -263,10 +263,9 @@ class HttpNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: int | None = None,
-        parallel: bool = True,
         max_databases: int = DEFAULT_MAX_DATABASES,
     ) -> None:
-        self.runtime = ThreadNode(node_id, max_workers=max_workers, parallel=parallel)
+        self.runtime = ThreadNode(node_id, max_workers=max_workers)
         self._httpd = _NodeHttpServer((host, port), _NodeRequestHandler)
         self._httpd.runtime = self.runtime
         # ensure_database returns only the fingerprint over the wire; the
@@ -376,18 +375,13 @@ class HttpNode(Node):
         workload: Workload,
         database: AnyDatabase,
         *,
-        cancel: CancelMap = None,
+        cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
         fingerprint = self.ensure_database(database)
         deadlines: dict[int, float] = {}
         if cancel is not None:
             now = monotonic()
-            items: Iterator = (
-                cancel.items()
-                if isinstance(cancel, Mapping)
-                else ((index, cancel) for index in range(len(workload)))
-            )
-            for index, token in items:
+            for index, token in cancel.items():
                 if token is not None and token.deadline_at is not None:
                     deadlines[index] = token.deadline_at - now
         request = {
@@ -560,14 +554,12 @@ class HttpNodeLauncher(NodeLauncher):
         *,
         host: str = "127.0.0.1",
         max_workers: int | None = None,
-        parallel: bool = True,
         request_timeout: float = 30.0,
         retry: RetryPolicy | None = None,
         max_databases: int = DEFAULT_MAX_DATABASES,
     ) -> None:
         self._host = host
         self._max_workers = max_workers
-        self._parallel = parallel
         self._request_timeout = request_timeout
         self._retry = retry
         self._max_databases = max_databases
@@ -578,7 +570,6 @@ class HttpNodeLauncher(NodeLauncher):
             node_id,
             host=self._host,
             max_workers=self._max_workers,
-            parallel=self._parallel,
             max_databases=self._max_databases,
         )
         self._servers.append(server)
@@ -598,7 +589,9 @@ class HttpExchange(RoutedExchange):
 
     Same routing, scatter/gather and failover engine as
     :class:`~repro.service.exchange.threads.ThreadExchange`; only the node
-    transport differs.
+    transport differs.  ``manager`` brings a ready fleet (for example one
+    whose launcher hands out fault-injecting handles); the other arguments
+    configure the :class:`HttpNodeLauncher` built when it is omitted.
     """
 
     def __init__(
@@ -606,12 +599,8 @@ class HttpExchange(RoutedExchange):
         nodes: int = 2,
         *,
         manager: NodeManager | None = None,
-        router: Router | None = None,
-        max_failovers: int = 3,
-        degraded_fallback: bool = True,
         host: str = "127.0.0.1",
         max_workers: int | None = None,
-        parallel: bool = True,
         request_timeout: float = 30.0,
         retry: RetryPolicy | None = None,
         max_databases: int = DEFAULT_MAX_DATABASES,
@@ -621,7 +610,6 @@ class HttpExchange(RoutedExchange):
                 HttpNodeLauncher(
                     host=host,
                     max_workers=max_workers,
-                    parallel=parallel,
                     request_timeout=request_timeout,
                     retry=retry,
                     max_databases=max_databases,
@@ -631,9 +619,4 @@ class HttpExchange(RoutedExchange):
             if nodes < 1:
                 raise ValueError(f"an HttpExchange needs >= 1 node (got {nodes})")
             manager.spawn(nodes)
-        super().__init__(
-            manager,
-            router=router,
-            max_failovers=max_failovers,
-            degraded_fallback=degraded_fallback,
-        )
+        super().__init__(manager)

@@ -44,23 +44,13 @@ class ThreadNodeLauncher(NodeLauncher):
     """
 
     def __init__(
-        self,
-        *,
-        max_workers: int | None = None,
-        parallel: bool = True,
-        cache: LanguageCache | None = None,
+        self, *, max_workers: int | None = None, cache: LanguageCache | None = None
     ) -> None:
         self._max_workers = max_workers
-        self._parallel = parallel
         self._cache = cache
 
     def launch(self, node_id: str) -> ThreadNode:
-        return ThreadNode(
-            node_id,
-            max_workers=self._max_workers,
-            parallel=self._parallel,
-            cache=self._cache,
-        )
+        return ThreadNode(node_id, max_workers=self._max_workers, cache=self._cache)
 
 
 class NodeManager:

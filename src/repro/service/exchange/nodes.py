@@ -17,9 +17,9 @@ from ...exceptions import ReproError
 from ...resilience.engine import CacheStats
 from ..cache import LanguageCache
 from ..outcome import QueryOutcome
-from ..server import PoolStats, ResilienceServer
+from ..server import CancelArg, PoolStats, ResilienceServer
 from ..workload import Workload
-from .base import AnyDatabase, CancelMap, Node, NodeStats
+from .base import AnyDatabase, Node, NodeStats
 
 
 class ThreadNode(Node):
@@ -28,8 +28,8 @@ class ThreadNode(Node):
     Args:
         node_id: stable routing identity.
         max_workers: per-server pool width cap (see
-            :class:`~repro.service.server.ResilienceServer`).
-        parallel: ``False`` pins the node's servers to the serial path.
+            :class:`~repro.service.server.ResilienceServer`); ``1`` pins the
+            node's servers to the serial path.
         cache: optional session :class:`LanguageCache` *shared* across this
             node's servers — and possibly across nodes (the conformance
             harness shares one cache fleet-wide so canonical representatives
@@ -43,12 +43,10 @@ class ThreadNode(Node):
         node_id: str,
         *,
         max_workers: int | None = None,
-        parallel: bool = True,
         cache: LanguageCache | None = None,
     ) -> None:
         self.node_id = node_id
         self._max_workers = max_workers
-        self._parallel = parallel
         self._owns_cache = cache is None
         self._cache = cache if cache is not None else LanguageCache()
         self._servers: dict[str, ResilienceServer] = {}
@@ -81,10 +79,7 @@ class ThreadNode(Node):
         fingerprint = database.content_fingerprint()
         if fingerprint not in self._servers:
             self._servers[fingerprint] = ResilienceServer(
-                database,
-                max_workers=self._max_workers,
-                parallel=self._parallel,
-                cache=self._cache,
+                database, max_workers=self._max_workers, cache=self._cache
             )
         return fingerprint
 
@@ -104,7 +99,7 @@ class ThreadNode(Node):
         workload: Workload,
         database: AnyDatabase,
         *,
-        cancel: CancelMap = None,
+        cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
         if not self.alive:
             raise ReproError(f"node {self.node_id!r} is not serving")

@@ -46,9 +46,3 @@ class Router:
         if not node_ids:
             raise ReproError("cannot route: no live nodes")
         return max(node_ids, key=lambda node_id: self.score(node_id, fingerprint))
-
-    def ranking(self, fingerprint: str, node_ids: Sequence[str]) -> list[str]:
-        """All candidates, best first — the failover order for one key."""
-        return sorted(
-            node_ids, key=lambda node_id: self.score(node_id, fingerprint), reverse=True
-        )

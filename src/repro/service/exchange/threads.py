@@ -2,17 +2,17 @@
 
 :class:`RoutedExchange` is the shared engine of every multi-node exchange:
 it routes each envelope part to the node that rendezvous-owns the part's
-database fingerprint, scatters multi-database envelopes across nodes
-(gathering through a :class:`~repro.service.exchange.base.Mailbox`), and
-re-routes the unserved tail of a part when its node dies mid-stream —
-falling back to structured ``error`` outcomes only when no node (or
-replacement) can serve, so an envelope index is never lost.
+database fingerprint, scatters a multi-database envelope over one thread per
+part (gathering their outcomes through one queue), and re-routes the
+unserved tail of a part when its node dies mid-stream — falling back to an
+in-process serial node, then to structured ``error`` outcomes, only when no
+node (or replacement) can serve, so an envelope index is never lost.
 
 :class:`ThreadExchange` is its in-process instantiation: N
 :class:`~repro.service.exchange.nodes.ThreadNode`\\ s in this process, each
-with its own warm worker pools — the middle rung of the local → thread →
-HTTP exchange ladder, where all routing/failover machinery is exercised
-without any network in the loop.
+with its own warm worker pools — the first rung of the thread → HTTP
+exchange ladder, where all routing/failover machinery is exercised without
+any network in the loop.
 
 Failover never loses or duplicates an outcome: outcomes already delivered
 for a part stay delivered (their part-local indices are removed from the
@@ -26,26 +26,27 @@ conformance variants pin.
 
 from __future__ import annotations
 
+import queue
 import threading
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import replace
 
 from ...exceptions import ReproError
 from ..cache import CacheStats, LanguageCache
 from ..outcome import ERROR, QueryOutcome
-from ..server import ResilienceServer
+from ..server import CancelArg
 from ..workload import Workload
-from .base import (
-    CancelMap,
-    EnvelopePart,
-    Exchange,
-    Mailbox,
-    Node,
-    NodeStats,
-    WorkloadEnvelope,
-)
+from .base import EnvelopePart, Exchange, Node, NodeStats, WorkloadEnvelope
 from .manager import NodeManager, ThreadNodeLauncher
+from .nodes import ThreadNode
 from .router import Router
+
+#: Node failures tolerated per envelope part before its unserved queries
+#: degrade (or fail structurally).
+MAX_FAILOVERS = 3
+
+#: End-of-part sentinel each scatter thread puts on the gather queue.
+_PART_DONE = object()
 
 
 class RoutedExchange(Exchange):
@@ -53,32 +54,21 @@ class RoutedExchange(Exchange):
 
     Args:
         manager: the node fleet (with or without a launcher; without one,
-            failed nodes cannot be auto-replaced and exhausted failover
-            surfaces structured errors).
-        router: rendezvous router (a default :class:`Router` if omitted).
-        max_failovers: node failures tolerated per envelope part before its
-            unserved queries fail structurally.
+            failed nodes cannot be auto-replaced).  A part survives up to
+            :data:`MAX_FAILOVERS` node failures.
         degraded_fallback: when a part's failover chain is exhausted
-            (``NodeLost``), serve its unserved tail with an in-process serial
-            server instead of failing structurally.  The serial path is the
-            reference semantics every node is pinned against, so the fallback
-            is outcome-identical by construction; each use increments
-            :attr:`degraded_serves`.  Protocol breaches (a node ending its
-            stream early) never degrade — replaying a broken contract
-            in-process would mask the bug.
+            (``NodeLost``), serve its unserved tail on a throwaway in-process
+            serial node instead of failing structurally.  The serial path is
+            the reference semantics every node is pinned against, so the
+            fallback is outcome-identical by construction; each use
+            increments :attr:`degraded_serves`.  Protocol breaches (a node
+            ending its stream early) never degrade — replaying a broken
+            contract in-process would mask the bug.
     """
 
-    def __init__(
-        self,
-        manager: NodeManager,
-        *,
-        router: Router | None = None,
-        max_failovers: int = 3,
-        degraded_fallback: bool = True,
-    ) -> None:
+    def __init__(self, manager: NodeManager, *, degraded_fallback: bool = True) -> None:
         self._manager = manager
-        self._router = router if router is not None else Router()
-        self._max_failovers = max_failovers
+        self._router = Router()
         self._degraded_fallback = degraded_fallback
         self._degraded_serves = 0
         self._lock = threading.Lock()
@@ -89,10 +79,6 @@ class RoutedExchange(Exchange):
     @property
     def manager(self) -> NodeManager:
         return self._manager
-
-    @property
-    def router(self) -> Router:
-        return self._router
 
     def register(self, node: Node) -> None:
         self._manager.register(node)
@@ -122,7 +108,7 @@ class RoutedExchange(Exchange):
     # ---------------------------------------------------------------- serving
 
     def submit(
-        self, envelope: WorkloadEnvelope, *, cancel: CancelMap = None
+        self, envelope: WorkloadEnvelope, *, cancel: CancelArg = None
     ) -> Iterator[QueryOutcome]:
         if self._closed:
             raise ReproError(f"this {type(self).__name__} is closed")
@@ -131,19 +117,26 @@ class RoutedExchange(Exchange):
         return self._scatter(envelope, cancel)
 
     def _scatter(
-        self, envelope: WorkloadEnvelope, cancel: CancelMap
+        self, envelope: WorkloadEnvelope, cancel: CancelArg
     ) -> Iterator[QueryOutcome]:
-        """Serve each part on its own thread, gather through one mailbox."""
-        mailbox = Mailbox(expected_parts=len(envelope.parts))
+        """Serve each part on its own thread, gather through one queue.
+
+        Each part thread puts its outcomes and then, in its ``finally``, one
+        end-of-part sentinel; the stream ends at the last sentinel.  Closing
+        the stream sets ``abandoned``, which every part thread checks before
+        each put, so it stops serving after at most one further outcome.
+        """
+        gathered: queue.SimpleQueue = queue.SimpleQueue()
+        abandoned = threading.Event()
 
         def serve_part(part: EnvelopePart, offset: int) -> None:
             try:
                 for outcome in self._serve_part(part, offset, cancel):
-                    if mailbox.closed:
+                    if abandoned.is_set():
                         break
-                    mailbox.post(outcome)
+                    gathered.put(outcome)
             finally:
-                mailbox.finish_part()
+                gathered.put(_PART_DONE)
 
         for offset, part in zip(envelope.offsets(), envelope.parts):
             threading.Thread(
@@ -153,12 +146,14 @@ class RoutedExchange(Exchange):
                 daemon=True,
             ).start()
         try:
-            yield from mailbox
+            for _ in envelope.parts:
+                while (outcome := gathered.get()) is not _PART_DONE:
+                    yield outcome
         finally:
-            mailbox.close()
+            abandoned.set()
 
     def _serve_part(
-        self, part: EnvelopePart, offset: int, cancel: CancelMap
+        self, part: EnvelopePart, offset: int, cancel: CancelArg
     ) -> Iterator[QueryOutcome]:
         """Serve one part with re-route-on-death, yielding global indices."""
         fingerprint = part.fingerprint()
@@ -188,25 +183,26 @@ class RoutedExchange(Exchange):
                 break
             tried.add(id(node))
             failures += 1
-            if failures > self._max_failovers:
+            if failures > MAX_FAILOVERS:
                 reason = f"NodeLost: gave up after {failures} node failures ({reason})"
                 break
         if remaining and self._degraded_fallback and reason.startswith("NodeLost"):
-            # The whole chain is gone, not misbehaving: fall back to serving
-            # the tail in-process rather than failing queries we can answer.
+            # The whole chain is gone, not misbehaving: serve the tail on a
+            # throwaway serial node with a fresh string-keyed cache — the
+            # uncached serial reference every node is pinned against — rather
+            # than fail queries we can answer.
+            with self._lock:
+                self._degraded_serves += 1
+            node = ThreadNode("degraded", max_workers=1, cache=LanguageCache(canonical=False))
             try:
-                yield from self._serve_degraded(part, offset, remaining, cancel)
+                yield from self._drain_node(node, part, offset, remaining, cancel)
             except Exception as error:
                 reason = f"DegradedServeFailed: {type(error).__name__}: {error}"
+            finally:
+                node.close()
         for local in sorted(remaining):
             spec = remaining[local]
-            yield QueryOutcome(
-                index=offset + local,
-                query=spec.display_name(),
-                status=ERROR,
-                method=spec.method,
-                error=reason,
-            )
+            yield QueryOutcome.unserved(offset + local, spec, ERROR, reason, method=spec.method)
 
     def _drain_node(
         self,
@@ -214,7 +210,7 @@ class RoutedExchange(Exchange):
         part: EnvelopePart,
         offset: int,
         remaining: dict,
-        cancel: CancelMap,
+        cancel: CancelArg,
     ) -> Iterator[QueryOutcome]:
         """One node's attempt at a part's remaining queries.
 
@@ -241,41 +237,13 @@ class RoutedExchange(Exchange):
             if close is not None:
                 close()
 
-    def _serve_degraded(
-        self, part: EnvelopePart, offset: int, remaining: dict, cancel: CancelMap
-    ) -> Iterator[QueryOutcome]:
-        """Last resort: serve a part's unserved tail in-process, serially.
-
-        Used only when the failover chain is exhausted (``NodeLost``).  A
-        one-shot serial :class:`~repro.service.server.ResilienceServer` with
-        a fresh string-keyed cache *is* the uncached serial reference the
-        conformance suite pins every node against, so degrading cannot change
-        an answer — it only changes where the work runs.
-        """
-        with self._lock:
-            self._degraded_serves += 1
-        locals_in_order = sorted(remaining)
-        sub_workload = Workload(tuple(remaining[local] for local in locals_in_order))
-        sub_cancel = self._sub_cancel(locals_in_order, offset, cancel)
-        server = ResilienceServer(
-            part.database, parallel=False, cache=LanguageCache(canonical=False)
-        )
-        try:
-            for outcome in server.serve_iter(sub_workload, cancel=sub_cancel):
-                local = locals_in_order[outcome.index]
-                if local in remaining:
-                    del remaining[local]
-                    yield replace(outcome, index=offset + local)
-        finally:
-            server.close()
-
     @staticmethod
     def _sub_cancel(
-        locals_in_order: list[int], offset: int, cancel: CancelMap
-    ) -> CancelMap:
+        locals_in_order: list[int], offset: int, cancel: CancelArg
+    ) -> CancelArg:
         """Remap envelope-global cancel tokens onto a sub-workload's indices."""
-        if not isinstance(cancel, Mapping):
-            return cancel
+        if cancel is None:
+            return None
         return {
             sub_index: token
             for sub_index, local in enumerate(locals_in_order)
@@ -322,53 +290,28 @@ class ThreadExchange(RoutedExchange):
     """N in-process nodes, each with its own warm pools, routed by fingerprint.
 
     Args:
-        nodes: fleet size to spawn (ignored when a pre-populated ``manager``
-            is supplied).
-        manager: bring your own fleet; otherwise one is built from a
-            :class:`~repro.service.exchange.manager.ThreadNodeLauncher` with
-            the remaining arguments.
-        max_workers / parallel / cache: per-node server configuration (see
-            :class:`~repro.service.exchange.nodes.ThreadNode`); only used
-            when the exchange builds its own launcher.
+        nodes: fleet size to spawn.
+        max_workers / cache: per-node server configuration (see
+            :class:`~repro.service.exchange.nodes.ThreadNode`).
+
+    A caller with its own fleet serves it through ``RoutedExchange(manager)``.
     """
 
     def __init__(
         self,
         nodes: int = 2,
         *,
-        manager: NodeManager | None = None,
-        router: Router | None = None,
-        max_failovers: int = 3,
-        degraded_fallback: bool = True,
         max_workers: int | None = None,
-        parallel: bool = True,
         cache: LanguageCache | None = None,
     ) -> None:
-        if manager is None:
-            manager = NodeManager(
-                ThreadNodeLauncher(
-                    max_workers=max_workers, parallel=parallel, cache=cache
-                )
-            )
-        elif max_workers is not None or cache is not None or not parallel:
-            raise ValueError(
-                "node configuration arguments only apply when ThreadExchange "
-                "builds its own launcher; configure the supplied manager's "
-                "launcher instead"
-            )
+        if nodes < 1:
+            raise ValueError(f"a ThreadExchange needs >= 1 node (got {nodes})")
+        manager = NodeManager(ThreadNodeLauncher(max_workers=max_workers, cache=cache))
+        manager.spawn(nodes)
         # Nodes sharing a cache report empty per-node CacheStats (see
         # ThreadNode.stats); the exchange reports the shared cache once.
         self._shared_cache = cache
-        if not manager.node_ids():
-            if nodes < 1:
-                raise ValueError(f"a ThreadExchange needs >= 1 node (got {nodes})")
-            manager.spawn(nodes)
-        super().__init__(
-            manager,
-            router=router,
-            max_failovers=max_failovers,
-            degraded_fallback=degraded_fallback,
-        )
+        super().__init__(manager)
 
     def shared_cache_stats(self) -> "CacheStats | None":
         if self._shared_cache is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..resilience.result import ResilienceResult
+from .workload import QuerySpec
 
 #: The query was answered; :attr:`QueryOutcome.result` holds the result.
 OK = "ok"
@@ -50,6 +51,29 @@ class QueryOutcome:
     result: ResilienceResult | None = None
     error: str | None = None
     nodes_explored: int | None = None
+
+    @classmethod
+    def unserved(
+        cls,
+        index: int,
+        spec: QuerySpec,
+        status: str,
+        error: str,
+        *,
+        method: str | None,
+        nodes_explored: int | None = None,
+    ) -> "QueryOutcome":
+        """The outcome of a query that produced no result: a planning or
+        execution failure, a budget overrun, a skipped cancelled query, or
+        a query the serving stack could not run at all."""
+        return cls(
+            index=index,
+            query=spec.display_name(),
+            status=status,
+            method=method,
+            error=error,
+            nodes_explored=nodes_explored,
+        )
 
     @property
     def ok(self) -> bool:

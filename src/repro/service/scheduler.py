@@ -94,12 +94,12 @@ def plan_workload(
                 language.infix_free()
         except Exception as error:
             failed.append(
-                QueryOutcome(
-                    index=index,
-                    query=spec.display_name(),
-                    status=ERROR,
+                QueryOutcome.unserved(
+                    index,
+                    spec,
+                    ERROR,
+                    f"{type(error).__name__}: {error}",
                     method=spec.method,
-                    error=f"{type(error).__name__}: {error}",
                 )
             )
             continue

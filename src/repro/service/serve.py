@@ -54,21 +54,21 @@ def _execute(item: ScheduledQuery, database: AnyDatabase) -> QueryOutcome:
             name=item.language.name or "",
         )
     except SearchBudgetExceeded as error:
-        return QueryOutcome(
-            index=item.index,
-            query=spec.display_name(),
-            status=BUDGET_EXCEEDED,
+        return QueryOutcome.unserved(
+            item.index,
+            spec,
+            BUDGET_EXCEEDED,
+            f"{type(error).__name__}: {error}",
             method=item.planned_method,
-            error=f"{type(error).__name__}: {error}",
             nodes_explored=error.nodes_explored,
         )
     except Exception as error:
-        return QueryOutcome(
-            index=item.index,
-            query=spec.display_name(),
-            status=ERROR,
+        return QueryOutcome.unserved(
+            item.index,
+            spec,
+            ERROR,
+            f"{type(error).__name__}: {error}",
             method=item.planned_method,
-            error=f"{type(error).__name__}: {error}",
         )
     return QueryOutcome(
         index=item.index,
@@ -82,12 +82,8 @@ def _execute(item: ScheduledQuery, database: AnyDatabase) -> QueryOutcome:
 
 def cancelled_outcome(item: ScheduledQuery, status: str, reason: str) -> QueryOutcome:
     """The structured outcome of a query skipped by a tripped cancel token."""
-    return QueryOutcome(
-        index=item.index,
-        query=item.spec.display_name(),
-        status=status,
-        method=item.planned_method,
-        error=reason,
+    return QueryOutcome.unserved(
+        item.index, item.spec, status, reason, method=item.planned_method
     )
 
 
@@ -173,14 +169,13 @@ def resilience_serve(
             RPQs).
         database: the shared set or bag database.
         max_workers: process-pool width; defaults to ``os.cpu_count()``.  A
-            width of 1 runs serially (a single-worker pool would only add IPC
-            overhead for identical results).
-        parallel: ``False`` forces the serial in-process path; its outcomes
-            are identical to the parallel path's by construction (same
-            per-query function, deterministic compiled plans, outcomes carry
-            no timing) for every workload without ``max_seconds`` budgets —
-            time budgets consult the wall clock and may trip differently under
-            pool contention.
+            width of 1 runs serially in-process (a single-worker pool would
+            only add IPC overhead for identical results); its outcomes are
+            identical to the pool's by construction (same per-query function,
+            deterministic compiled plans, outcomes carry no timing) for every
+            workload without ``max_seconds`` budgets — time budgets consult
+            the wall clock and may trip differently under pool contention.
+        parallel: ``False`` is another spelling of ``max_workers=1``.
         cache: optional session :class:`LanguageCache` to share planning work
             across multiple serve calls; ``LanguageCache(store=...)``
             persists query plans across processes.
@@ -193,10 +188,7 @@ def resilience_serve(
     """
     from .server import ResilienceServer
 
-    with ResilienceServer(
-        database,
-        max_workers=max_workers,
-        parallel=parallel,
-        cache=cache,
-    ) as server:
+    if not parallel:
+        max_workers = 1
+    with ResilienceServer(database, max_workers=max_workers, cache=cache) as server:
         return server.serve(workload)

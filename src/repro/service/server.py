@@ -41,7 +41,7 @@ from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..resilience.engine import warm_database
 from ..resilience.result import ResilienceResult
 from .cache import LanguageCache
-from .cancellation import CancellationToken, cancel_lookup, make_cancel_flags
+from .cancellation import CancellationToken, make_cancel_flags
 from .outcome import ERROR, OK, QueryOutcome
 from .scheduler import ScheduledQuery, plan_workload, runs_exact_class
 from .serve import _execute, _worker_init, _worker_run_many, cancelled_outcome
@@ -55,8 +55,9 @@ AnyDatabase = GraphDatabase | BagGraphDatabase
 #: deadline checks — binding is an optimization, never a correctness need.
 CANCEL_SLOTS = 128
 
-#: ``cancel=`` argument shape accepted by the serve entry points.
-CancelArg = CancellationToken | Mapping[int, CancellationToken] | None
+#: ``cancel=`` argument shape of every serving layer: workload (or envelope)
+#: index -> the token covering that query.
+CancelArg = Mapping[int, CancellationToken] | None
 
 #: How long :meth:`ResilienceServer._stream` waits on in-flight futures
 #: before re-poking the pool's management thread (see :func:`_nudge_pool`).
@@ -169,10 +170,9 @@ class ResilienceServer:
             (:meth:`serve` raises on a mismatched explicit ``database=``).
         max_workers: pool width cap; defaults to ``os.cpu_count()``.  The pool
             is created on the first parallel call, sized to
-            ``min(max_workers, that call's query count)``.
-        parallel: ``False`` pins the server to the serial in-process path
-            (identical outcomes, no pool) — useful as the reference
-            configuration in differential tests.
+            ``min(max_workers, that call's query count)``.  ``1`` pins the
+            server to the serial in-process path (identical outcomes, no
+            pool) — the reference configuration of differential tests.
         cache: optional session :class:`LanguageCache` (a fresh canonical
             cache by default).  The cache lives in the *parent* process:
             planning dedupes equal and equivalent queries before anything is
@@ -187,7 +187,6 @@ class ResilienceServer:
         database: AnyDatabase,
         *,
         max_workers: int | None = None,
-        parallel: bool = True,
         cache: LanguageCache | None = None,
     ) -> None:
         if max_workers is None:
@@ -196,7 +195,6 @@ class ResilienceServer:
             raise ValueError(f"max_workers must be >= 1 (got {max_workers})")
         self._database = database
         self._max_workers = max_workers
-        self._parallel = parallel
         self._cache = cache if cache is not None else LanguageCache()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_width = 0
@@ -225,11 +223,6 @@ class ResilienceServer:
     def cache(self) -> LanguageCache:
         """The session language cache shared by every call on this server."""
         return self._cache
-
-    @property
-    def database_fingerprint(self) -> str:
-        """Content digest of the served database (stable across processes)."""
-        return self._database.content_fingerprint()
 
     def worker_pids(self) -> frozenset[int]:
         """PIDs of the live pool workers (empty before the first parallel call).
@@ -357,9 +350,9 @@ class ResilienceServer:
         queries are batched several to a task, so their outcomes stream at
         chunk granularity; exact queries stream one by one.
 
-        ``cancel`` threads cooperative cancellation through execution: one
-        :class:`~repro.service.cancellation.CancellationToken` covering the
-        whole workload, or a mapping of workload index to token (the merged
+        ``cancel`` threads cooperative cancellation through execution: a
+        mapping of workload index to
+        :class:`~repro.service.cancellation.CancellationToken` (the merged
         async round keeps a token per admission).  A tripped token's
         not-yet-executed queries — including the tail of a chunk already on a
         worker — surface as structured skipped outcomes instead of running;
@@ -398,15 +391,13 @@ class ResilienceServer:
         self, scheduled: list[ScheduledQuery], cancel: CancelArg
     ) -> dict[int, CancellationToken]:
         """Map each scheduled item's workload index to its cancel token."""
-        lookup = cancel_lookup(cancel)
-        if lookup is None:
+        if not cancel:
             return {}
-        tokens: dict[int, CancellationToken] = {}
-        for item in scheduled:
-            token = lookup(item.index)
-            if token is not None:
-                tokens[item.index] = token
-        return tokens
+        return {
+            item.index: token
+            for item in scheduled
+            if (token := cancel.get(item.index)) is not None
+        }
 
     def _stream(
         self,
@@ -418,7 +409,7 @@ class ResilienceServer:
         if not scheduled:
             return
         tokens = self._tokens_for(scheduled, cancel)
-        if not self._parallel or self._max_workers == 1 or len(scheduled) == 1:
+        if self._max_workers == 1 or len(scheduled) == 1:
             warm_database(self._database)
             for item in scheduled:
                 token = tokens.get(item.index)
@@ -679,17 +670,13 @@ class ResilienceServer:
     @staticmethod
     def _crash_outcomes(chunk: list[ScheduledQuery], error: str) -> Iterator[QueryOutcome]:
         for item in chunk:
-            yield QueryOutcome(
-                index=item.index,
-                query=item.spec.display_name(),
-                status=ERROR,
-                method=item.planned_method,
-                error=error,
+            yield QueryOutcome.unserved(
+                item.index, item.spec, ERROR, error, method=item.planned_method
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else ("warm" if self._pool is not None else "cold")
         return (
             f"ResilienceServer({self._database!r}, max_workers={self._max_workers}, "
-            f"{state}, db={self.database_fingerprint[:12]})"
+            f"{state}, db={self._database.content_fingerprint()[:12]})"
         )

@@ -22,7 +22,7 @@ breach:
   exception ever escapes ``submit`` or stream iteration;
 * **outcome parity** (``verify_parity``) — every deadline-free,
   non-rejected traffic request reproduces the uncached serial reference
-  (``parallel=False``, fresh string-keyed cache) outcome-for-outcome after
+  (``max_workers=1``, fresh string-keyed cache) outcome-for-outcome after
   re-sorting, node kills included: failover must not change answers;
 * **poison stays contained** — a poison workload comes back all-``error``
   while the same round's traffic keeps full parity;
@@ -159,10 +159,10 @@ class SoakRunner:
 
     Args:
         trace: the (seeded) traffic to replay.
-        nodes / max_workers / parallel / cache: fleet configuration when the
-            runner builds its own exchange; ``exchange`` supplies a
-            ready-made exchange instead (the runner's front-end owns and
-            closes it either way).
+        nodes / max_workers / cache: fleet configuration when the runner
+            builds its own exchange (``max_workers=1`` serves each node
+            serially); ``exchange`` supplies a ready-made exchange instead
+            (the runner's front-end owns and closes it either way).
         transport: which exchange the runner builds when ``exchange`` is
             ``None`` — ``"thread"`` (default,
             :class:`~repro.service.ThreadExchange`) or ``"http"``
@@ -195,7 +195,6 @@ class SoakRunner:
         *,
         nodes: int = 2,
         max_workers: int | None = 2,
-        parallel: bool = True,
         cache: LanguageCache | None = None,
         transport: str = "thread",
         exchange: Exchange | None = None,
@@ -233,7 +232,6 @@ class SoakRunner:
         self._transport = transport
         self._nodes = nodes
         self._max_workers = max_workers
-        self._parallel = parallel
         self._cache = cache
         self._exchange = exchange
         self._chaos = chaos or ChaosSchedule()
@@ -286,17 +284,10 @@ class SoakRunner:
     def _run_rounds(self, rounds) -> SoakReport:
         exchange = self._exchange
         if exchange is None and self._transport == "http":
-            exchange = HttpExchange(
-                nodes=self._nodes,
-                max_workers=self._max_workers,
-                parallel=self._parallel,
-            )
+            exchange = HttpExchange(nodes=self._nodes, max_workers=self._max_workers)
         elif exchange is None:
             exchange = ThreadExchange(
-                nodes=self._nodes,
-                max_workers=self._max_workers,
-                parallel=self._parallel,
-                cache=self._cache,
+                nodes=self._nodes, max_workers=self._max_workers, cache=self._cache
             )
         self._server_exchange = exchange
         server = AsyncResilienceServer(
@@ -579,7 +570,7 @@ class SoakRunner:
         outcomes = resilience_serve(
             workload,
             self._trace.databases[database_key],
-            parallel=False,
+            max_workers=1,
             cache=LanguageCache(canonical=False),
         )
         self._references.append((database_key, workload, outcomes))

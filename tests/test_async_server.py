@@ -109,7 +109,7 @@ class TestAdmission:
     def test_priority_classes_drain_in_order_with_fifo_within_class(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 autostart=False,
             )
@@ -132,7 +132,7 @@ class TestAdmission:
     def test_queue_depth_bound_rejects_structurally(self, database, reference):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 max_queue_depth=2,
                 autostart=False,
@@ -159,7 +159,7 @@ class TestAdmission:
     def test_deadline_expiry_rejects_instead_of_serving_stale(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 autostart=False,
             )
@@ -186,7 +186,7 @@ class TestAdmission:
         # frees its queue-depth slot for the incoming workload.
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 max_queue_depth=1,
                 autostart=False,
@@ -215,7 +215,7 @@ class TestAdmission:
     def test_round_share_interleaves_a_large_workload_with_its_peers(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 round_share=2,
                 autostart=False,
@@ -240,7 +240,7 @@ class TestAdmission:
     def test_empty_workload_completes_immediately(self, database):
         async def scenario():
             async with AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
             ) as server:
                 iterator = await server.submit([])
@@ -256,7 +256,7 @@ class TestAdmission:
     def test_empty_workload_is_admitted_even_at_a_saturated_queue(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 max_queue_depth=1,
                 autostart=False,
@@ -274,7 +274,7 @@ class TestAdmission:
     def test_aclose_wakes_a_blocked_consumer(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 autostart=False,
             )
@@ -295,7 +295,7 @@ class TestAdmission:
         # admission slot and phantom-reject live traffic.
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 max_queue_depth=1,
                 autostart=False,
@@ -318,12 +318,12 @@ class TestAdmission:
         # server is refused instead of being wrapped.
         with pytest.raises(TypeError):
             AsyncResilienceServer(database)
-        with pytest.raises(TypeError), ResilienceServer(database, parallel=False) as server:
+        with pytest.raises(TypeError), ResilienceServer(database, max_workers=1) as server:
             AsyncResilienceServer(server)
 
         async def bad_deadline():
             async with AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
             ) as server:
                 await server.submit(MIXED, deadline=-1.0)
@@ -375,7 +375,7 @@ class TestAdmissionProperties:
             # canonical=False: equivalent queries keep their own syntax's
             # contingency sets, so each workload equals its fresh serial run.
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False, cache=LanguageCache(canonical=False)),
+                ThreadExchange(nodes=1, max_workers=1, cache=LanguageCache(canonical=False)),
                 database=database,
                 max_queue_depth=bound,
                 round_share=share,
@@ -443,7 +443,7 @@ class TestWeightedShares:
         # specs in 2 rounds; its default-weight peer (cap 2) needs 4.
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 round_share=2,
                 autostart=False,
@@ -461,7 +461,7 @@ class TestWeightedShares:
     def test_share_weights_set_the_class_default(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 round_share=2,
                 share_weights={7: 3.0},
@@ -480,7 +480,7 @@ class TestWeightedShares:
     def test_tiny_weight_floors_at_one_spec_per_round(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 round_share=4,
                 autostart=False,
@@ -498,14 +498,14 @@ class TestWeightedShares:
     def test_invalid_weights_raise(self, database):
         with pytest.raises(ValueError):
             AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 share_weights={0: 0.0},
             )
 
         async def bad_weight():
             async with AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
             ) as server:
                 await server.submit(MIXED, weight=-1.0)
@@ -533,7 +533,7 @@ class TestWeightedShares:
 
         async def scenario_run():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 round_share=round_share,
                 max_queue_depth=16,
@@ -568,7 +568,7 @@ class TestCancellation:
         # structured "error" outcomes instead of serving stale work.
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 autostart=False,
             )
@@ -588,7 +588,7 @@ class TestCancellation:
         # map is remapped into each node's sub-workload.
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=2, max_workers=2, parallel=False),
+                ThreadExchange(nodes=2, max_workers=1),
                 database=database,
                 autostart=False,
             )
@@ -606,8 +606,8 @@ class TestCancellation:
         # The serial path is pull-based, so cancelling between next() calls is
         # a deterministic mid-execution cancellation.
         token = CancellationToken()
-        with ResilienceServer(database, parallel=False) as server:
-            iterator = server.serve_iter(MIXED, cancel=token)
+        with ResilienceServer(database, max_workers=1) as server:
+            iterator = server.serve_iter(MIXED, cancel=dict.fromkeys(range(len(MIXED)), token))
             served = [next(iterator), next(iterator)]
             token.cancel("WorkloadCancelled: enough")
             tail = list(iterator)
@@ -624,8 +624,8 @@ class TestCancellation:
         # The deadline passes between next() calls, however long planning and
         # the first execution took.
         token = CancellationToken()
-        with ResilienceServer(database, parallel=False) as server:
-            iterator = server.serve_iter(MIXED, cancel=token)
+        with ResilienceServer(database, max_workers=1) as server:
+            iterator = server.serve_iter(MIXED, cancel=dict.fromkeys(range(len(MIXED)), token))
             first = next(iterator)
             token.deadline_at = time.monotonic() - 1.0
             tail = list(iterator)
@@ -638,7 +638,7 @@ class TestCancellation:
         # the generator first runs means nothing reaches the pool.
         token = CancellationToken()
         with ResilienceServer(database, max_workers=2) as server:
-            iterator = server.serve_iter(MIXED, cancel=token)
+            iterator = server.serve_iter(MIXED, cancel=dict.fromkeys(range(len(MIXED)), token))
             token.cancel("WorkloadCancelled: before dispatch")
             outcomes = sorted_outcomes(iterator)
         assert [outcome.index for outcome in outcomes] == list(range(len(MIXED)))
@@ -729,7 +729,7 @@ class TestFaultInjection:
         assert metrics.outcome_counts()[ERROR] == 2
 
     def test_closed_server_rejects_submit_cleanly(self, database):
-        server = AsyncResilienceServer(ThreadExchange(nodes=1, parallel=False), database=database)
+        server = AsyncResilienceServer(ThreadExchange(nodes=1, max_workers=1), database=database)
         server.close()
 
         async def try_submit():
@@ -744,7 +744,7 @@ class TestFaultInjection:
     def test_close_fails_waiting_workloads_structurally(self, database):
         async def scenario():
             server = AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
                 autostart=False,
             )
@@ -758,7 +758,7 @@ class TestFaultInjection:
         assert all("ServerClosed" in outcome.error for outcome in outcomes)
 
     def test_closing_the_async_server_closes_the_wrapped_server(self, database):
-        exchange = ThreadExchange(nodes=1, parallel=False)
+        exchange = ThreadExchange(nodes=1, max_workers=1)
         AsyncResilienceServer(exchange, database=database).close()
         assert not any(snapshot.alive for snapshot in exchange.stats())
         with pytest.raises(ReproError):
@@ -775,7 +775,7 @@ class TestAbandonment:
         # The gate holds the drain after round one until the consumer has
         # abandoned; unheld, the drain can serve all 48 one-query rounds
         # before the event loop runs the consumer's break.
-        exchange = GatedExchange(ThreadExchange(nodes=1, parallel=False))
+        exchange = GatedExchange(ThreadExchange(nodes=1, max_workers=1))
 
         async def scenario():
             server = AsyncResilienceServer(
@@ -874,7 +874,7 @@ class TestMetrics:
 
         async def scenario():
             async with AsyncResilienceServer(
-                ThreadExchange(nodes=1, parallel=False),
+                ThreadExchange(nodes=1, max_workers=1),
                 database=database,
             ) as server:
                 await collect(await server.submit(MIXED))
@@ -1009,7 +1009,7 @@ class TestPrometheusExposition:
     def test_per_node_series_carry_node_labels(self, database):
         async def scenario():
             async with AsyncResilienceServer(
-                ThreadExchange(nodes=2, max_workers=2, parallel=False),
+                ThreadExchange(nodes=2, max_workers=1),
                 database=database,
             ) as server:
                 await collect(await server.submit(MIXED))
@@ -1032,7 +1032,7 @@ class TestPrometheusExposition:
         from repro.service.exchange import RoutedExchange, ThreadNode
 
         manager = NodeManager()
-        manager.register(ThreadNode("only", max_workers=2, parallel=False))
+        manager.register(ThreadNode("only", max_workers=1))
 
         async def scenario():
             async with AsyncResilienceServer(

@@ -112,10 +112,10 @@ class TestServerMetricsSurface:
         from repro.service import AsyncResilienceServer, ThreadExchange
 
         cache = LanguageCache(max_entries=2)
-        with ResilienceServer(database, parallel=False, cache=cache) as server:
+        with ResilienceServer(database, max_workers=1, cache=cache) as server:
             server.serve(DISTINCT)
         async_server = AsyncResilienceServer(
-            ThreadExchange(nodes=1, parallel=False, cache=cache), database=database
+            ThreadExchange(nodes=1, max_workers=1, cache=cache), database=database
         )
         try:
             text = async_server.metrics().to_prometheus()

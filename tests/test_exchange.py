@@ -12,6 +12,8 @@ behavior (including its stats round-trip).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from faults import ChaosHttpNodeLauncher, drain_with_kill
@@ -37,6 +39,7 @@ from repro.service.exchange import (
     HttpNodeLauncher,
     HttpNodeServer,
     NodeStats,
+    RoutedExchange,
     ThreadNode,
     ThreadNodeLauncher,
 )
@@ -111,14 +114,6 @@ def test_router_join_moves_keys_only_to_the_new_node():
     )
 
 
-def test_router_ranking_is_consistent_with_route():
-    router = Router()
-    nodes = [f"node-{i}" for i in range(4)]
-    ranking = router.ranking("some-fingerprint", nodes)
-    assert sorted(ranking) == sorted(nodes)
-    assert ranking[0] == router.route("some-fingerprint", nodes)
-
-
 def test_router_rejects_an_empty_fleet():
     with pytest.raises(ReproError):
         Router().route("fingerprint", [])
@@ -147,7 +142,7 @@ def test_dead_node_id_can_be_reregistered():
 
 
 def test_drain_excludes_a_node_from_routing_but_keeps_it_alive(set_db):
-    with ThreadExchange(nodes=2, max_workers=2, parallel=False) as exchange:
+    with ThreadExchange(nodes=2, max_workers=1) as exchange:
         owner = exchange.route_for(set_db)
         exchange.manager.drain(owner)
         assert owner not in exchange.manager.live_ids()
@@ -165,7 +160,7 @@ def test_drain_excludes_a_node_from_routing_but_keeps_it_alive(set_db):
 
 
 def test_replace_keeps_the_node_id_and_routing(set_db):
-    with ThreadExchange(nodes=3, max_workers=2, parallel=False) as exchange:
+    with ThreadExchange(nodes=3, max_workers=1) as exchange:
         owner = exchange.route_for(set_db)
         old = exchange.manager.node(owner)
         replacement = exchange.manager.replace(owner)
@@ -193,7 +188,7 @@ def test_multi_database_envelope_scatters_with_correct_index_remapping(
             EnvelopePart(workload=workload, database=bag_db),
         )
     )
-    with ThreadExchange(nodes=2, max_workers=2, parallel=False) as exchange:
+    with ThreadExchange(nodes=2, max_workers=1) as exchange:
         outcomes = sorted_outcomes(exchange.submit(envelope))
     assert [outcome.index for outcome in outcomes] == list(range(2 * len(QUERIES)))
     from dataclasses import replace
@@ -207,10 +202,76 @@ def test_multi_database_envelope_scatters_with_correct_index_remapping(
     assert second == reference(bag_db)
 
 
+class _GatedNode(ThreadNode):
+    """A serial thread node whose streams wait on ``gate`` before every
+    outcome after their first; ``streams`` holds each stream's outcomes."""
+
+    def __init__(self, node_id: str, gate: threading.Event) -> None:
+        super().__init__(node_id, max_workers=1)
+        self._gate = gate
+        self.streams: list[list] = []
+
+    def serve_iter(self, workload, database, *, cancel=None):
+        return self._gated(super().serve_iter(workload, database, cancel=cancel))
+
+    def _gated(self, stream):
+        produced: list = []
+        self.streams.append(produced)
+        for outcome in stream:
+            if produced:
+                self._gate.wait(timeout=30)
+            produced.append(outcome)
+            yield outcome
+
+
+def test_closing_a_scattered_stream_stops_every_part_thread(set_db, bag_db):
+    """Abandoning a two-part stream after its first outcome stops both part
+    threads: once the gates open, each part serves at most one outcome more
+    than it had when the stream closed, and no scatter thread survives."""
+    gate = threading.Event()
+    nodes = [_GatedNode(f"gated-{i}", gate) for i in range(2)]
+    manager = NodeManager()
+    for node in nodes:
+        manager.register(node)
+    envelope = WorkloadEnvelope(
+        parts=(
+            EnvelopePart(workload=Workload.coerce(QUERIES), database=set_db),
+            EnvelopePart(workload=Workload.coerce(QUERIES), database=bag_db),
+        )
+    )
+    before = set(threading.enumerate())
+    with RoutedExchange(manager) as exchange:
+        stream = exchange.submit(envelope)
+        try:
+            next(stream)
+            # Every part thread is now alive: each either computes its first
+            # outcome or waits at the gate before its second.
+            scatter = [
+                thread
+                for thread in threading.enumerate()
+                if thread not in before and thread.name.startswith("exchange-scatter-")
+            ]
+            stream.close()
+            at_close = [[len(produced) for produced in node.streams] for node in nodes]
+        finally:
+            gate.set()
+        for thread in scatter:
+            thread.join(timeout=30)
+    assert len(scatter) == 2
+    assert not [thread.name for thread in scatter if thread.is_alive()]
+    served = [[len(produced) for produced in node.streams] for node in nodes]
+    assert sum(map(len, served)) == 2, "one stream per part"
+    for counts, closed in zip(served, at_close):
+        # A stream that had not started when the stream closed counts from 0.
+        closed += [0] * (len(counts) - len(closed))
+        for count, closed_at in zip(counts, closed):
+            assert count <= closed_at + 1, (served, at_close)
+
+
 def test_node_crash_mid_stream_loses_and_leaks_nothing(set_db):
     """Kill the owner mid-stream: every index arrives exactly once, correct,
     and a subsequent envelope's stream is untouched by the corpse."""
-    with ThreadExchange(nodes=2, max_workers=2, parallel=False) as exchange:
+    with ThreadExchange(nodes=2, max_workers=1) as exchange:
         owner = exchange.route_for(set_db)
         iterator = exchange.submit(
             WorkloadEnvelope.single(Workload.coerce(QUERIES), set_db)
@@ -233,7 +294,7 @@ def test_whole_fleet_death_without_launcher_fails_structurally(set_db):
     """With the degraded serial fallback disabled, an exhausted failover
     chain surfaces as structured NodeLost errors, one per query."""
     manager = NodeManager()
-    manager.register(ThreadNode("only", max_workers=2, parallel=False))
+    manager.register(ThreadNode("only", max_workers=1))
     from repro.service.exchange import RoutedExchange
 
     with RoutedExchange(manager, degraded_fallback=False) as exchange:
@@ -251,7 +312,7 @@ def test_whole_fleet_death_degrades_to_serial_with_parity(set_db):
     """Default behavior: the same exhausted chain degrades to the in-process
     serial fallback — full parity with the reference, counted once."""
     manager = NodeManager()
-    manager.register(ThreadNode("only", max_workers=2, parallel=False))
+    manager.register(ThreadNode("only", max_workers=1))
     from repro.service.exchange import RoutedExchange
 
     with RoutedExchange(manager) as exchange:
@@ -264,7 +325,7 @@ def test_whole_fleet_death_degrades_to_serial_with_parity(set_db):
 
 
 def test_whole_fleet_death_with_launcher_auto_replaces(set_db):
-    with ThreadExchange(nodes=2, max_workers=2, parallel=False) as exchange:
+    with ThreadExchange(nodes=2, max_workers=1) as exchange:
         for node_id in exchange.nodes():
             exchange.manager.kill(node_id)
         outcomes = sorted_outcomes(
@@ -275,7 +336,7 @@ def test_whole_fleet_death_with_launcher_auto_replaces(set_db):
 
 
 def test_closed_exchange_refuses_submissions(set_db):
-    exchange = ThreadExchange(nodes=1, max_workers=2, parallel=False)
+    exchange = ThreadExchange(nodes=1, max_workers=1)
     exchange.close()
     with pytest.raises(ReproError):
         exchange.submit(WorkloadEnvelope.single(Workload.coerce(["aa"]), set_db))
@@ -293,7 +354,7 @@ def test_single_node_exchange_multi_part_remaps_indices(set_db):
             EnvelopePart(workload=Workload.coerce(["aa"]), database=set_db),
         )
     )
-    with ThreadExchange(nodes=1, parallel=False) as exchange:
+    with ThreadExchange(nodes=1, max_workers=1) as exchange:
         outcomes = sorted_outcomes(exchange.submit(envelope))
     assert [outcome.index for outcome in outcomes] == list(range(len(QUERIES) + 1))
     assert outcomes[: len(QUERIES)] == reference(set_db)
@@ -307,7 +368,7 @@ def test_single_node_exchange_multi_part_remaps_indices(set_db):
 
 
 def test_http_exchange_end_to_end_and_stats_roundtrip(set_db):
-    with HttpExchange(nodes=2, max_workers=2, parallel=False) as exchange:
+    with HttpExchange(nodes=2, max_workers=1) as exchange:
         outcomes = sorted_outcomes(
             exchange.submit(WorkloadEnvelope.single(Workload.coerce(QUERIES), set_db))
         )
@@ -329,7 +390,7 @@ def test_http_budgeted_spec_bypasses_the_result_cache(set_db):
         [outcome] = exchange.submit(WorkloadEnvelope.single(Workload.coerce([spec]), set_db))
         return outcome
 
-    with HttpExchange(nodes=1, max_workers=1, parallel=False) as exchange:
+    with HttpExchange(nodes=1, max_workers=1) as exchange:
         assert serve(exchange, "aa").status == "ok"
         assert serve(exchange, "aa").status == "ok"
         [before] = exchange.stats()
@@ -341,7 +402,7 @@ def test_http_budgeted_spec_bypasses_the_result_cache(set_db):
 
 
 def test_http_node_kill_fails_over_to_the_survivor(set_db):
-    manager = NodeManager(HttpNodeLauncher(max_workers=2, parallel=False))
+    manager = NodeManager(HttpNodeLauncher(max_workers=1))
     from repro.service.exchange import RoutedExchange
 
     with RoutedExchange(manager) as exchange:
@@ -421,7 +482,7 @@ def test_circuit_breaker_opens_half_opens_and_recloses():
 def chaos_fleet(nodes: int = 2, *, retry: RetryPolicy | None = None):
     """A routed exchange over chaos-capable HTTP nodes."""
     launcher = ChaosHttpNodeLauncher(
-        max_workers=2, parallel=False, request_timeout=10.0, retry=retry
+        max_workers=1, request_timeout=10.0, retry=retry
     )
     manager = NodeManager(launcher)
     return HttpExchange(nodes=nodes, manager=manager)
@@ -511,7 +572,7 @@ class _LyingFingerprintDatabase:
 
 
 def test_fingerprint_mismatch_on_ship_raises_with_both_values(set_db):
-    launcher = HttpNodeLauncher(max_workers=2, parallel=False)
+    launcher = HttpNodeLauncher(max_workers=1)
     manager = NodeManager(launcher)
     manager.spawn(1)
     try:
@@ -529,7 +590,7 @@ def test_fingerprint_mismatch_on_ship_raises_with_both_values(set_db):
 def test_node_restart_on_same_port_reships_transparently(set_db):
     """A restarted node lost its databases; the client's stale shipped-set
     gets a 409 on /serve and transparently re-ships exactly once."""
-    server = HttpNodeServer("node-r", max_workers=2, parallel=False)
+    server = HttpNodeServer("node-r", max_workers=1)
     host, port = server.address
     node = HttpNode("node-r", host, port)
     try:
@@ -538,7 +599,7 @@ def test_node_restart_on_same_port_reships_transparently(set_db):
         assert first == reference(set_db)
         assert set_db.content_fingerprint() in node._shipped
         server.close()
-        server = HttpNodeServer("node-r", host=host, port=port, max_workers=2, parallel=False)
+        server = HttpNodeServer("node-r", host=host, port=port, max_workers=1)
         again = sorted_outcomes(node.serve_iter(workload, set_db))
         assert again == reference(set_db)
         assert node.alive
@@ -551,7 +612,7 @@ def test_database_lru_evicts_and_reships_under_cap(set_db, bag_db):
     """With a one-database cap, alternating databases forces an eviction per
     switch; every serve still answers with full parity through the 409
     re-ship path."""
-    launcher = HttpNodeLauncher(max_workers=2, parallel=False, max_databases=1)
+    launcher = HttpNodeLauncher(max_workers=1, max_databases=1)
     manager = NodeManager(launcher)
     manager.spawn(1)
     try:
@@ -569,7 +630,7 @@ def test_health_monitor_opens_recloses_and_invalidates_shipped(set_db):
     """The full circuit: probes fail -> breaker opens -> cooldown -> half-open
     probe against the restarted node -> reclose invalidates the handle's
     shipped-set so the next serve re-ships."""
-    launcher = HttpNodeLauncher(max_workers=2, parallel=False)
+    launcher = HttpNodeLauncher(max_workers=1)
     manager = NodeManager(launcher)
     manager.spawn(1)
     try:
@@ -589,7 +650,7 @@ def test_health_monitor_opens_recloses_and_invalidates_shipped(set_db):
         assert monitor.states() == {"node-0": "open"}
 
         restarted = HttpNodeServer(
-            "node-0", host=host, port=port, max_workers=2, parallel=False
+            "node-0", host=host, port=port, max_workers=1
         )
         launcher._servers.append(restarted)
         monitor.tick()  # half-open probe succeeds -> reclose
@@ -603,7 +664,7 @@ def test_health_monitor_opens_recloses_and_invalidates_shipped(set_db):
 
 
 def test_health_monitor_replaces_a_node_dead_past_grace(set_db):
-    launcher = HttpNodeLauncher(max_workers=2, parallel=False)
+    launcher = HttpNodeLauncher(max_workers=1)
     manager = NodeManager(launcher)
     manager.spawn(1)
     try:
@@ -627,7 +688,7 @@ def test_health_monitor_replaces_a_node_dead_past_grace(set_db):
 def test_manager_start_monitor_runs_and_stops_with_close(set_db):
     import time as _time
 
-    with ThreadExchange(nodes=1, max_workers=2, parallel=False) as exchange:
+    with ThreadExchange(nodes=1, max_workers=1) as exchange:
         monitor = exchange.manager.start_monitor(interval=0.01)
         deadline = _time.monotonic() + 5.0
         while monitor.ticks == 0 and _time.monotonic() < deadline:

@@ -1,0 +1,101 @@
+"""Pin the serving stack's option surface.
+
+The table below lists every parameter of the serving entry points.  A change
+that adds a knob (or a second spelling of an existing one) must edit this
+table in the same diff, so the addition is a reviewed decision instead of a
+side effect.  Removed keywords are pinned to raise ``TypeError``.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from repro.graphdb import generators
+from repro.service import (
+    AsyncResilienceServer,
+    LanguageCache,
+    NodeManager,
+    ResilienceServer,
+    resilience_serve,
+)
+from repro.service.exchange import (
+    HttpExchange,
+    HttpNodeLauncher,
+    HttpNodeServer,
+    RoutedExchange,
+    ThreadExchange,
+    ThreadNode,
+    ThreadNodeLauncher,
+)
+from repro.traffic import SoakRunner, TrafficProfile, generate_traffic
+
+#: Entry point -> its parameter names, in signature order (``self`` omitted).
+OPTION_SURFACE = {
+    ResilienceServer: ("database", "max_workers", "cache"),
+    ThreadNode: ("node_id", "max_workers", "cache"),
+    ThreadNodeLauncher: ("max_workers", "cache"),
+    RoutedExchange: ("manager", "degraded_fallback"),
+    ThreadExchange: ("nodes", "max_workers", "cache"),
+    HttpNodeServer: ("node_id", "host", "port", "max_workers", "max_databases"),
+    HttpNodeLauncher: ("host", "max_workers", "request_timeout", "retry", "max_databases"),
+    HttpExchange: (
+        "nodes", "manager", "host", "max_workers", "request_timeout", "retry",
+        "max_databases",
+    ),
+    AsyncResilienceServer: (
+        "exchange", "database", "max_queue_depth", "round_share", "share_weights",
+        "autostart",
+    ),
+    AsyncResilienceServer.submit: ("workload", "priority", "deadline", "database", "weight"),
+    # ``parallel=False`` stays here only, as another spelling of max_workers=1.
+    resilience_serve: ("workload", "database", "max_workers", "parallel", "cache"),
+    SoakRunner: (
+        "trace", "nodes", "max_workers", "cache", "transport", "exchange", "chaos",
+        "requests_per_round", "max_queue_depth", "round_share", "verify_parity",
+        "recovery_rounds", "auto_heal", "pace", "log_path", "leak_tracker",
+        "keep_outcomes",
+    ),
+    LanguageCache: (
+        "canonical", "store", "result_store", "max_entries", "max_age_seconds", "clock",
+    ),
+}
+
+#: Keywords the entry points no longer accept: serial execution is
+#: ``max_workers=1``, the router and failover bound are fixed, and a caller
+#: with its own fleet uses ``RoutedExchange(manager)``.
+REMOVED_KEYWORDS = {
+    ResilienceServer: ("parallel",),
+    ThreadNode: ("parallel",),
+    ThreadNodeLauncher: ("parallel",),
+    RoutedExchange: ("router", "max_failovers"),
+    ThreadExchange: ("manager", "router", "max_failovers", "degraded_fallback", "parallel"),
+    HttpNodeServer: ("parallel",),
+    HttpNodeLauncher: ("parallel",),
+    HttpExchange: ("router", "max_failovers", "degraded_fallback", "parallel"),
+    SoakRunner: ("parallel",),
+}
+
+
+def test_serving_option_surface_is_pinned():
+    surface = {
+        entry.__qualname__: tuple(
+            name for name in inspect.signature(entry).parameters if name != "self"
+        )
+        for entry in OPTION_SURFACE
+    }
+    assert surface == {entry.__qualname__: names for entry, names in OPTION_SURFACE.items()}
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 69
+
+    positional = {
+        ResilienceServer: (generators.random_labelled_graph(3, 4, "ab", seed=1),),
+        ThreadNode: ("node",),
+        RoutedExchange: (NodeManager(),),
+        HttpNodeServer: ("node",),
+        SoakRunner: (generate_traffic(TrafficProfile(requests=2)),),
+    }
+    for entry, keywords in REMOVED_KEYWORDS.items():
+        for keyword in keywords:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                entry(*positional.get(entry, ()), **{keyword: None})

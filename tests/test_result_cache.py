@@ -161,7 +161,7 @@ class TestServerResultCache:
         from repro.service import QuerySpec
 
         cache = LanguageCache()
-        with ResilienceServer(database, parallel=False, cache=cache) as server:
+        with ResilienceServer(database, max_workers=1, cache=cache) as server:
             [unbudgeted] = server.serve([QuerySpec("aba", method="exact")])
             assert unbudgeted.status == "ok"
             [budgeted] = server.serve([QuerySpec("aba", method="exact", max_nodes=1)])
@@ -176,7 +176,7 @@ class TestServerResultCache:
             # A budgeted run that *completed* is identical to an unbounded
             # one, so it feeds the cache for later unbudgeted duplicates.
             generous = LanguageCache()
-            with ResilienceServer(database, parallel=False, cache=generous) as inner:
+            with ResilienceServer(database, max_workers=1, cache=generous) as inner:
                 [first] = inner.serve([QuerySpec("aba", max_nodes=10_000)])
                 assert first.status == "ok"
                 [replayed] = inner.serve(["aba"])
@@ -254,14 +254,14 @@ class TestHitRateAccounting:
         from repro.service import QuerySpec
 
         cache = LanguageCache()
-        with ResilienceServer(database, parallel=False, cache=cache) as server:
+        with ResilienceServer(database, max_workers=1, cache=cache) as server:
             server.serve([QuerySpec("aa", method="local-flow")])
         assert cache.stats.result_misses == 0
         assert cache.stats.result_uncacheable == 1
 
     def test_string_keyed_cache_counts_nothing(self, database):
         cache = LanguageCache(canonical=False)
-        with ResilienceServer(database, parallel=False, cache=cache) as server:
+        with ResilienceServer(database, max_workers=1, cache=cache) as server:
             server.serve(self.chaos_workload())
         stats = cache.stats
         assert (stats.result_hits, stats.result_misses, stats.result_uncacheable) == (0, 0, 0)

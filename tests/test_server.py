@@ -67,7 +67,7 @@ class TestWarmth:
             assert server.cache.stats.classifications == classifications
 
     def test_serial_server_never_forks(self, database):
-        with ResilienceServer(database, parallel=False) as server:
+        with ResilienceServer(database, max_workers=1) as server:
             outcomes = server.serve(MIXED)
             assert server.worker_pids() == frozenset()
         assert outcomes == resilience_serve(MIXED, database, parallel=False)

@@ -123,7 +123,7 @@ class TestWriteBack:
     def test_a_key_new_to_the_session_writes_once(self, tmp_path, database):
         store = ResultStore(tmp_path)
         cache = LanguageCache(result_store=store)
-        with ResilienceServer(database, parallel=False, cache=cache) as server:
+        with ResilienceServer(database, max_workers=1, cache=cache) as server:
             [plain] = server.serve([QuerySpec("aba", method="exact")])
             assert plain.status == "ok"
             assert store.stats().writes == 1
@@ -140,12 +140,12 @@ class TestWriteBack:
 
     def test_a_store_hit_is_never_written_back(self, tmp_path, database):
         with ResilienceServer(
-            database, parallel=False, cache=LanguageCache(result_store=ResultStore(tmp_path))
+            database, max_workers=1, cache=LanguageCache(result_store=ResultStore(tmp_path))
         ) as warming:
             [warmed] = warming.serve([QuerySpec("aba", method="exact")])
         store = ResultStore(tmp_path)
         cache = LanguageCache(result_store=store)
-        with ResilienceServer(database, parallel=False, cache=cache) as server:
+        with ResilienceServer(database, max_workers=1, cache=cache) as server:
             [hit] = server.serve([QuerySpec("aba", method="exact")])
             [budgeted] = server.serve([self.BUDGETED])
         assert hit.result == budgeted.result == warmed.result

@@ -520,7 +520,7 @@ class TestMetricsUnderLoad:
 
         database = generators.random_labelled_graph(5, 12, "abxy", seed=3)
         server = AsyncResilienceServer(
-            ThreadExchange(nodes=1, parallel=False, cache=LanguageCache(canonical=False)),
+            ThreadExchange(nodes=1, max_workers=1, cache=LanguageCache(canonical=False)),
             database=database,
         )
 

@@ -129,7 +129,7 @@ import sys
 from pathlib import Path
 
 data = json.loads(Path(sys.argv[1]).read_text())
-for key in ("admission_overhead", "merged_stream_p50_ms", "direct_serve_iter_ms", "async_submit_ms"):
+for key in ("admission_overhead", "merged_stream_p50_ms", "direct_exchange_submit_ms", "async_submit_ms"):
     assert key in data, f"BENCH_async.json missing {key!r}"
     assert data[key] > 0, f"BENCH_async.json {key!r} not positive: {data[key]}"
 # Loose smoke-safe ceiling; the strict 10% bar is asserted by
