@@ -20,7 +20,9 @@ Node-id layout of the compiled product graphs (both shapes):
 * Theorem 3.13 product: database node ``i`` × automaton state ``j`` (states
   densely numbered in sorted-by-repr order) is id ``2 + j * num_db_nodes + i``
   — state-major, so wiring a whole state costs one addition per database node
-  and no multiplication;
+  and no multiplication; with the Proposition 7.9 wiring, database node
+  ``i``'s vertex ``in(i)`` follows the product block, at
+  ``2 + num_states * num_db_nodes + i``;
 * Proposition 7.6 product: fact ``f``'s start vertex is ``2 + 2f`` and its
   end vertex ``2 + 2f + 1``.
 
@@ -53,9 +55,10 @@ class ProductSubstrate:
             ``facts`` are the key objects.
         graphs_compiled: how many per-query product graphs were compiled on
             top of this substrate (observability: > 1 proves substrate reuse).
-        graph_hits: how many compilations were answered from the per-automaton
-            compiled-graph cache instead (same query class, same database —
-            the graph is a pure function of both, so repeats are solve-only).
+        graph_hits: how many compilations were answered from the
+            compiled-graph cache instead (same query class and wiring, same
+            database — the graph is a pure function of them, so repeats are
+            solve-only).
     """
 
     __slots__ = ("num_db_nodes", "label_arcs", "graphs_compiled", "graph_hits", "_graphs")
@@ -159,7 +162,9 @@ def bcl_substrate(index: DatabaseIndex) -> BclSubstrate:
     return substrate
 
 
-def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> CompiledFlowGraph:
+def compile_product_graph(
+    read_once_automaton, index: DatabaseIndex, dangling: tuple | None = None
+) -> CompiledFlowGraph:
     """Compile the Theorem 3.13 product network ``N_{D,A}`` straight to arrays.
 
     Mirrors :func:`~repro.resilience.local_flow.build_product_network` exactly
@@ -168,20 +173,31 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
     to every initial pair, every final pair to target) — but emits a
     :class:`CompiledFlowGraph` over the cached substrate instead of an object
     network.
+
+    ``dangling`` is the wiring of Proposition 7.9, ``(x, z_capacities,
+    mirrored)``.  Every ``x``-arc ends at the vertex ``in(v)`` of the fact's
+    head ``v`` instead of at ``(v, t)``, where ``t`` is the target state of
+    the ``x``-transition; each ``(node, capacity)`` pair of ``z_capacities``
+    adds the arc ``in(node) -> (node, t)``, keyed ``("z", node)``; and
+    ``mirrored`` reads every fact backwards.  After trimming this is the
+    product of the ``x``-then-``z`` split automaton with the rewritten
+    database (see :mod:`repro.resilience.one_dangling`).
     """
     if not read_once_automaton.is_read_once():
         raise NotLocalError("the automaton passed to the Theorem 3.13 reduction must be read-once")
     from ..languages.automata import compile_automaton
 
     substrate = product_substrate(index)
-    # The graph is a pure function of (automaton, database): repeats of a
-    # query class on a warm database skip straight to the solver.  Automata
-    # are small frozen dataclasses, so hashing one costs microseconds.
-    cached = substrate._graphs.get(read_once_automaton)
+    # The graph is a pure function of (automaton, wiring, database): repeats
+    # of a query class on a warm database skip straight to the solver.
+    # Automata are small frozen dataclasses, so hashing one costs microseconds.
+    cache_key = read_once_automaton if dangling is None else (read_once_automaton, dangling)
+    cached = substrate._graphs.get(cache_key)
     if cached is not None:
         substrate.graph_hits += 1
         return cached
     substrate.graphs_compiled += 1
+    x_letter, z_capacities, mirrored = dangling or (None, (), False)
     plan = compile_automaton(read_once_automaton)
     # repro: allow[det-repr-sort] -- canonical state numbering: automaton
     # states are frozen value types whose reprs are address-free
@@ -192,7 +208,10 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
     state_offset = {
         state: 2 + position * num_db_nodes for position, state in enumerate(states)
     }
-    builder = FlowGraphBuilder(2 + num_db_nodes * len(states), integral_hint=True)
+    in_offset = 2 + num_db_nodes * len(states)
+    builder = FlowGraphBuilder(
+        in_offset + (num_db_nodes if dangling else 0), integral_hint=True
+    )
 
     extend_raw = builder.extend_raw
     for label, pairs in plan.transitions_by_label.items():
@@ -201,8 +220,10 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
             continue
         (q_source, q_target) = pairs[0]  # read-once: exactly one per label
         source_offset = state_offset[q_source]
-        target_offset = state_offset[q_target]
+        target_offset = in_offset if label == x_letter else state_offset[q_target]
         sources, targets, caps_interleaved, label_facts = columns
+        if mirrored:
+            sources, targets = targets, sources
         extend_raw(
             [
                 node
@@ -212,6 +233,12 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
             caps_interleaved,
             label_facts,
         )
+        if label == x_letter:
+            node_ids = index.node_ids
+            target_offset = state_offset[q_target]
+            for node, capacity in z_capacities:
+                node_id = node_ids[node]
+                builder.add(in_offset + node_id, target_offset + node_id, capacity, ("z", node))
     extend_infinite = builder.extend_infinite
     # repro: allow[det-repr-sort] -- canonical edge order over frozen value types
     for q_source, _, q_target in sorted(read_once_automaton.epsilon_transitions, key=repr):
@@ -229,7 +256,7 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
         offset = state_offset[state]
         extend_infinite((offset + node, _TARGET_ID) for node in range(num_db_nodes))
     graph = builder.build(_SOURCE_ID, _TARGET_ID, trim=True)
-    substrate._graphs[read_once_automaton] = graph
+    substrate._graphs[cache_key] = graph
     return graph
 
 

@@ -3,8 +3,7 @@
 A graph database over an alphabet ``Sigma`` is a set of labelled edges (called
 *facts*) ``v --a--> v'``.  A bag graph database additionally carries a positive
 multiplicity for each fact; multiplicities act as removal costs in the
-resilience problem.  The *extended* bag semantics used in the proof of
-Proposition 7.9 also allows non-positive multiplicities.
+resilience problem.
 """
 
 from __future__ import annotations
@@ -244,28 +243,18 @@ class GraphDatabase:
 
 
 class BagGraphDatabase:
-    """A bag-semantics graph database: facts with positive integer multiplicities.
+    """A bag-semantics graph database: facts with positive integer multiplicities."""
 
-    The optional ``allow_non_positive`` flag enables the *extended bag semantics*
-    of Proposition 7.9, where multiplicities may be zero or negative.
-    """
-
-    def __init__(
-        self,
-        multiplicities: Mapping[Fact | tuple[Node, str, Node], int],
-        *,
-        allow_non_positive: bool = False,
-    ) -> None:
+    def __init__(self, multiplicities: Mapping[Fact | tuple[Node, str, Node], int]) -> None:
         cleaned: dict[Fact, int] = {}
         for edge, multiplicity in multiplicities.items():
             fact = _as_fact(edge)
             if not isinstance(multiplicity, int):
                 raise ReproError(f"multiplicity of {fact} must be an integer")
-            if multiplicity <= 0 and not allow_non_positive:
+            if multiplicity <= 0:
                 raise ReproError(f"multiplicity of {fact} must be positive (got {multiplicity})")
             cleaned[fact] = multiplicity
         self._multiplicities = cleaned
-        self.allow_non_positive = allow_non_positive
         self._database: GraphDatabase | None = None
         self._index: DatabaseIndex | None = None
         self._content_fingerprint: str | None = None
@@ -273,13 +262,10 @@ class BagGraphDatabase:
     # ------------------------------------------------------------------ constructors
 
     @classmethod
-    def from_edges(
-        cls, edges: Iterable[tuple[Node, str, Node, int]], *, allow_non_positive: bool = False
-    ) -> "BagGraphDatabase":
+    def from_edges(cls, edges: Iterable[tuple[Node, str, Node, int]]) -> "BagGraphDatabase":
         """Build a bag database from ``(source, label, target, multiplicity)`` tuples."""
         return cls(
-            {Fact(source, label, target): multiplicity for source, label, target, multiplicity in edges},
-            allow_non_positive=allow_non_positive,
+            {Fact(source, label, target): multiplicity for source, label, target, multiplicity in edges}
         )
 
     @classmethod
@@ -343,12 +329,10 @@ class BagGraphDatabase:
         """Return a content digest of the bag (facts and multiplicities).
 
         See :meth:`GraphDatabase.content_fingerprint`; bag fingerprints are
-        tagged with the semantics (and the extended-semantics flag), so no
-        set/bag pair ever collides.
+        tagged with the semantics, so no set/bag pair ever collides.
         """
         if self._content_fingerprint is None:
-            tag = "bag-extended" if self.allow_non_positive else "bag"
-            self._content_fingerprint = _fingerprint_facts(tag, self._multiplicities.items())
+            self._content_fingerprint = _fingerprint_facts("bag", self._multiplicities.items())
         return self._content_fingerprint
 
     # ------------------------------------------------------------------ pickling
@@ -366,14 +350,12 @@ class BagGraphDatabase:
     def remove(self, facts: Iterable[Fact | tuple[Node, str, Node]]) -> "BagGraphDatabase":
         removed = {_as_fact(edge) for edge in facts}
         return BagGraphDatabase(
-            {fact: mult for fact, mult in self._multiplicities.items() if fact not in removed},
-            allow_non_positive=self.allow_non_positive,
+            {fact: mult for fact, mult in self._multiplicities.items() if fact not in removed}
         )
 
     def reverse(self) -> "BagGraphDatabase":
         return BagGraphDatabase(
-            {Fact(fact.target, fact.label, fact.source): mult for fact, mult in self._multiplicities.items()},
-            allow_non_positive=self.allow_non_positive,
+            {Fact(fact.target, fact.label, fact.source): mult for fact, mult in self._multiplicities.items()}
         )
 
 

@@ -51,10 +51,14 @@ def random_bag_database(
     seed: int = 0,
     max_multiplicity: int = 10,
 ) -> BagGraphDatabase:
-    """Return a random bag database with multiplicities in ``1..max_multiplicity``."""
+    """Return a random bag database with multiplicities in ``1..max_multiplicity``.
+
+    Multiplicities are drawn in the database's sorted fact order (its
+    iteration order), so one seed gives one bag whatever the hash seed.
+    """
     rng = random.Random(seed)
     base = random_labelled_graph(num_nodes, num_edges, alphabet, seed)
-    return BagGraphDatabase({fact: rng.randint(1, max_multiplicity) for fact in base.facts})
+    return BagGraphDatabase({fact: rng.randint(1, max_multiplicity) for fact in base})
 
 
 def word_walk(word: str, prefix: str = "w", start: object | None = None, end: object | None = None) -> GraphDatabase:

@@ -34,10 +34,9 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable
-from itertools import count
 from operator import or_
 
-from ..exceptions import LanguageError, NotFiniteError
+from ..exceptions import NotFiniteError
 from .automata import EpsilonNFA, State
 
 _SINK = "__sink__"
@@ -646,17 +645,3 @@ def canonical_fingerprint(automaton: EpsilonNFA) -> str:
     """
     payload = repr(_canonical_tables(automaton))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def fresh_letter(alphabet: Iterable[str], *, avoid: Iterable[str] = ()) -> str:
-    """Return a single-character letter not present in ``alphabet`` nor ``avoid``."""
-    used = set(alphabet) | set(avoid)
-    candidates = "zyxwvutsrqponmlkjihgfedcba0123456789"
-    for candidate in candidates:
-        if candidate not in used:
-            return candidate
-    for code in count(0x100):
-        candidate = chr(code)
-        if candidate not in used:
-            return candidate
-    raise LanguageError("could not find a fresh letter")  # pragma: no cover

@@ -14,13 +14,21 @@ A one-dangling language is ``L ∪ {xy}`` with ``L`` local and at least one of
    the total multiplicity of ``y``-facts; extended-bag resilience reduces to
    ordinary bag resilience by unconditionally removing the non-positive facts.
 
-The witnessing contingency set of ``D`` is reconstructed from the cut of ``D'``
-following the proof of Claim 7.10(ii).
+Neither ``L'`` nor the rewritten database ``D'`` is ever built.  In the
+product of ``L'`` with the positive part of ``D'``, the only useful node of a
+``(v, in)`` column is the one at the split state, so the network is compiled
+straight from the database's shared index
+(:func:`~repro.flow.substrate.compile_product_graph` with its one-dangling
+wiring): ``x``-arcs end at a vertex ``in(v)``, and each positive ``z``-fact
+becomes an arc ``in(v) -> (v, t)``.  When mirrored, the compile reads every
+fact backwards instead of reversing the database.  The graph is cached on the
+database's substrate like every other product graph.  The witnessing
+contingency set of ``D`` is reconstructed from the cut following the proof of
+Claim 7.10(ii).
 
 Everything that depends only on the query — the decomposition, the mirror
 when ``x`` is the fresh letter, the RO-epsilon-NFA of the local part — is
-computed once by :func:`plan_one_dangling`.  The fresh letter ``z`` must
-avoid the database's alphabet, so the ``x -> xz`` split happens per database.
+computed once by :func:`plan_one_dangling`.
 """
 
 from __future__ import annotations
@@ -33,8 +41,7 @@ from ..flow.substrate import compile_product_graph
 from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_bag
 from ..languages.automata import EpsilonNFA
 from ..languages.core import Language
-from ..languages.dangling import OneDanglingDecomposition, one_dangling_decomposition
-from ..languages.operations import fresh_letter
+from ..languages.dangling import one_dangling_decomposition
 from ..languages import read_once
 from .result import INFINITE, ResilienceResult, finite_value
 
@@ -44,15 +51,15 @@ class DanglingPlan:
     """The query-only half of Proposition 7.9, oriented so that ``y`` is fresh.
 
     Attributes:
-        language: the one-dangling language, or its mirror when ``x`` is the
-            fresh letter (Proposition 6.3).
-        decomposition: ``language``'s one-dangling decomposition.
-        local_automaton: the RO-epsilon-NFA of the decomposition's local part.
-        mirrored: whether ``language`` is the mirror of the planned language.
+        x, y: the letters of the dangling word ``xy``.
+        local_automaton: the RO-epsilon-NFA of the local part.
+        mirrored: whether ``x``, ``y`` and the local part are those of the
+            planned language's mirror (Proposition 6.3), so that execution
+            reads every fact backwards.
     """
 
-    language: Language
-    decomposition: OneDanglingDecomposition
+    x: str
+    y: str
     local_automaton: EpsilonNFA
     mirrored: bool
 
@@ -69,85 +76,12 @@ def plan_one_dangling(language: Language) -> DanglingPlan:
     mirrored = decomposition.y in decomposition.local_alphabet
     if mirrored:
         # x is the fresh letter: solve the mirror instead (Proposition 6.3).
-        language = language.mirror()
-        decomposition = one_dangling_decomposition(language)
+        decomposition = one_dangling_decomposition(language.mirror())
         if decomposition is None:  # pragma: no cover - mirror of one-dangling is one-dangling
             raise NotApplicableError("mirror of a one-dangling language should be one-dangling")
     # The decomposition already checked that the local part is local.
     local_automaton = read_once.read_once_automaton_unchecked(decomposition.local_part)
-    return DanglingPlan(language, decomposition, local_automaton, mirrored)
-
-
-@dataclass
-class _RewriteResult:
-    """The rewritten database and bookkeeping needed to map cuts back."""
-
-    rewritten: BagGraphDatabase
-    kappa: int
-    z_letter: str
-    incoming_x: dict[object, list[Fact]]
-    outgoing_y: dict[object, list[Fact]]
-    z_fact_of_node: dict[object, Fact]
-    x_fact_mapping: dict[Fact, Fact]
-
-
-def _split_x_transition(automaton: EpsilonNFA, x_letter: str, z_letter: str) -> EpsilonNFA:
-    """Replace the unique ``x`` transition of an RO-epsilon-NFA by ``x`` followed by ``z``."""
-    x_transitions = [t for t in automaton.letter_transitions if t[1] == x_letter]
-    if not x_transitions:
-        # The local part does not use x at all; nothing to split.
-        return automaton.with_alphabet(automaton.alphabet | {z_letter})
-    if len(x_transitions) != 1:  # pragma: no cover - impossible for an RO automaton
-        raise NotApplicableError("expected a read-once automaton")
-    (source, _, target) = x_transitions[0]
-    middle = ("split", x_letter)
-    states = set(automaton.states) | {middle}
-    transitions = set(automaton.transitions) - {x_transitions[0]}
-    transitions.add((source, x_letter, middle))
-    transitions.add((middle, z_letter, target))
-    return EpsilonNFA.build(
-        states, automaton.initial, automaton.final, transitions, automaton.alphabet | {z_letter}
-    )
-
-
-def _rewrite_database(
-    bag: BagGraphDatabase, x_letter: str, y_letter: str, z_letter: str
-) -> _RewriteResult:
-    """Apply the database rewriting of Proposition 7.9 (see module docstring)."""
-    multiplicities = bag.multiplicity_map()
-    incoming_x: dict[object, list[Fact]] = {}
-    outgoing_y: dict[object, list[Fact]] = {}
-    for fact in multiplicities:
-        if fact.label == x_letter:
-            incoming_x.setdefault(fact.target, []).append(fact)
-        if fact.label == y_letter:
-            outgoing_y.setdefault(fact.source, []).append(fact)
-
-    new_multiplicities: dict[Fact, int] = {}
-    x_fact_mapping: dict[Fact, Fact] = {}
-    z_fact_of_node: dict[object, Fact] = {}
-    kappa = 0
-    touched_nodes = set(incoming_x) | set(outgoing_y)
-    for fact, multiplicity in multiplicities.items():
-        if fact.label == y_letter:
-            kappa += multiplicity
-            continue
-        if fact.label == x_letter:
-            redirected = Fact(fact.source, x_letter, (fact.target, "in"))
-            new_multiplicities[redirected] = multiplicity
-            x_fact_mapping[fact] = redirected
-            continue
-        new_multiplicities[fact] = multiplicity
-    for node in touched_nodes:
-        in_sum = sum(multiplicities[fact] for fact in incoming_x.get(node, ()))
-        out_sum = sum(multiplicities[fact] for fact in outgoing_y.get(node, ()))
-        z_fact = Fact((node, "in"), z_letter, node)
-        new_multiplicities[z_fact] = in_sum - out_sum
-        z_fact_of_node[node] = z_fact
-    rewritten = BagGraphDatabase(new_multiplicities, allow_non_positive=True)
-    return _RewriteResult(
-        rewritten, kappa, z_letter, incoming_x, outgoing_y, z_fact_of_node, x_fact_mapping
-    )
+    return DanglingPlan(decomposition.x, decomposition.y, local_automaton, mirrored)
 
 
 def resilience_one_dangling(
@@ -165,7 +99,6 @@ def resilience_one_dangling(
     Raises:
         NotApplicableError: if the language is not one-dangling.
     """
-    bag = as_bag(database)
     if semantics is None:
         semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
     name = language.name or ""
@@ -173,95 +106,61 @@ def resilience_one_dangling(
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
     if plan is None:
         plan = plan_one_dangling(language)
-    if not plan.mirrored:
-        return _solve_forward(plan, bag, semantics, name)
-    # Solve on the mirrored database and mirror the contingency set back.
-    result = _solve_forward(plan, bag.reverse(), semantics, name)
-    contingency = None
-    if result.contingency_set is not None:
-        contingency = frozenset(
-            Fact(fact.target, fact.label, fact.source) for fact in result.contingency_set
-        )
-    return ResilienceResult(
-        result.value, contingency, semantics, result.method, name, details=result.details
-    )
+    index = as_bag(database).index()
+    facts, multiplicities, mirrored = index.facts, index.multiplicities, plan.mirrored
 
+    # The rewrite, read off the index (of the mirrored database when
+    # mirrored): the x-facts entering and the y-facts leaving each node, and
+    # each such node's z multiplicity sum(in-x) - sum(out-y).  Every dict is
+    # filled in fact-id order, so no hash order reaches the graph or the cut.
+    incoming_x: dict[object, list[Fact]] = {}
+    outgoing_y: dict[object, list[Fact]] = {}
+    z_multiplicity: dict[object, int] = {}
+    for fact_id in index.facts_by_label.get(plan.x, ()):
+        fact = facts[fact_id]
+        node = fact.source if mirrored else fact.target
+        incoming_x.setdefault(node, []).append(fact)
+        z_multiplicity[node] = z_multiplicity.get(node, 0) + multiplicities[fact_id]
+    kappa = 0
+    for fact_id in index.facts_by_label.get(plan.y, ()):
+        fact = facts[fact_id]
+        node = fact.target if mirrored else fact.source
+        outgoing_y.setdefault(node, []).append(fact)
+        z_multiplicity[node] = z_multiplicity.get(node, 0) - multiplicities[fact_id]
+        kappa += multiplicities[fact_id]
 
-def _solve_forward(
-    plan: DanglingPlan, bag: BagGraphDatabase, semantics: str, name: str
-) -> ResilienceResult:
-    """Solve the planned language, whose second dangling letter ``y`` is fresh."""
-    decomposition = plan.decomposition
-    x_letter, y_letter = decomposition.x, decomposition.y
-    local_part = decomposition.local_part
-
-    z_letter = fresh_letter(plan.language.alphabet, avoid=bag.alphabet)
-    primed_automaton = _split_x_transition(plan.local_automaton, x_letter, z_letter)
-    primed_language = Language(primed_automaton, name=f"{local_part.name or 'L'}[x->xz]")
-
-    rewrite = _rewrite_database(bag, x_letter, y_letter, z_letter)
-
-    # Extended bag semantics: facts with non-positive multiplicity can always be
-    # put in the contingency set, so they are removed up front at their cost.
-    rewritten_multiplicities = rewrite.rewritten.multiplicity_map()
-    non_positive = {
-        fact: mult for fact, mult in rewritten_multiplicities.items() if mult <= 0
-    }
-    positive_part = BagGraphDatabase(
-        {fact: mult for fact, mult in rewritten_multiplicities.items() if mult > 0}
-    )
-    base_cost = sum(non_positive.values())
-
-    # The rewritten positive part is a per-query database, but the compiled
-    # path still skips the whole object-network layer (its index carries its
-    # own product substrate).
-    graph = compile_product_graph(primed_automaton, positive_part.index())
+    # Extended bag semantics: z-facts with non-positive multiplicity can
+    # always be put in the contingency set, so they are removed up front at
+    # their cost.
+    base_cost = sum(value for value in z_multiplicity.values() if value <= 0)
+    z_capacities = tuple((node, value) for node, value in z_multiplicity.items() if value > 0)
+    graph = compile_product_graph(plan.local_automaton, index, (plan.x, z_capacities, mirrored))
     cut = solve_min_cut(graph)
     if cut.value == INFINITE:  # pragma: no cover - epsilon not in L'
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
 
-    primed_contingency = set(non_positive) | {
-        key for key in cut.cut_keys if isinstance(key, Fact)
-    }
-    value = cut.value + base_cost + rewrite.kappa
-
-    contingency = _map_back_contingency(bag, rewrite, primed_contingency, x_letter, y_letter)
+    # Claim 7.10(ii): keep the cut's facts; at a node whose z-fact is removed
+    # (case a) remove every x-fact entering it, otherwise (case b) every
+    # y-fact leaving it.
+    cut_keys = set(cut.cut_keys)
+    contingency = {key for key in cut_keys if isinstance(key, Fact)}
+    for node, value in z_multiplicity.items():
+        if value <= 0 or ("z", node) in cut_keys:
+            contingency.update(incoming_x.get(node, ()))
+        else:
+            contingency.update(outgoing_y.get(node, ()))
     details = {
-        "kappa": rewrite.kappa,
+        "kappa": kappa,
         "base_cost": base_cost,
         "network_nodes": graph.num_nodes,
         "network_edges": graph.num_edges,
-        "mirrored": plan.mirrored,
-        "primed_language": primed_language.name,
+        "mirrored": mirrored,
     }
     return ResilienceResult(
-        finite_value(value), frozenset(contingency), semantics, "one-dangling-flow", name, details=details
+        finite_value(cut.value + base_cost + kappa),
+        frozenset(contingency),
+        semantics,
+        "one-dangling-flow",
+        name,
+        details=details,
     )
-
-
-def _map_back_contingency(
-    bag: BagGraphDatabase,
-    rewrite: _RewriteResult,
-    primed_contingency: set[Fact],
-    x_letter: str,
-    y_letter: str,
-) -> set[Fact]:
-    """Reconstruct a contingency set of the original database (proof of Claim 7.10(ii))."""
-    contingency: set[Fact] = set()
-    touched_nodes = set(rewrite.incoming_x) | set(rewrite.outgoing_y)
-    for node in touched_nodes:
-        z_fact = rewrite.z_fact_of_node.get(node)
-        if z_fact is not None and z_fact in primed_contingency:
-            # Case (a): remove every x-fact entering the node.
-            contingency.update(rewrite.incoming_x.get(node, ()))
-        else:
-            # Case (b): remove every y-fact leaving the node, plus the x-facts
-            # whose redirected copies are in the primed contingency set.
-            contingency.update(rewrite.outgoing_y.get(node, ()))
-            for original in rewrite.incoming_x.get(node, ()):
-                if rewrite.x_fact_mapping[original] in primed_contingency:
-                    contingency.add(original)
-    for fact in primed_contingency:
-        if fact.label not in (x_letter, rewrite.z_letter) and fact in bag:
-            contingency.add(fact)
-    return contingency

@@ -88,16 +88,18 @@ def result_code_salt() -> str:
 
     A memoized :class:`ResilienceResult` bakes in strictly more code than an
     analysis entry: the resilience algorithms themselves (every module of
-    :mod:`repro.resilience`) and the database substrate that defines content
-    fingerprints and fact semantics (:mod:`repro.graphdb`), on top of
+    :mod:`repro.resilience`), the flow core that computes every flow value
+    and cut (:mod:`repro.flow`) and the database substrate that defines
+    content fingerprints and fact semantics (:mod:`repro.graphdb`), on top of
     everything :func:`code_version_salt` already covers.  Any edit to those
     files invalidates every stored result — one cold run, never a wrong
     answer.
     """
-    from .. import graphdb, languages
+    from .. import flow, graphdb, languages
     from ..classify import classifier
 
     paths = set(Path(languages.__file__).parent.glob("*.py"))
+    paths |= set(Path(flow.__file__).parent.glob("*.py"))
     paths |= set(Path(graphdb.__file__).parent.glob("*.py"))
     paths |= set(Path(__file__).parent.glob("*.py"))
     paths.add(Path(classifier.__file__))

@@ -60,10 +60,11 @@ class RoutedExchange(Exchange):
             (``NodeLost``), serve its unserved tail on a throwaway in-process
             serial node instead of failing structurally.  The serial path is
             the reference semantics every node is pinned against, so the
-            fallback is outcome-identical by construction; each use
-            increments :attr:`degraded_serves`.  Protocol breaches (a node
-            ending its stream early) never degrade — replaying a broken
-            contract in-process would mask the bug.
+            fallback is outcome-identical by construction; each fallback
+            that finishes increments :attr:`degraded_serves` (one that fails
+            answers ``DegradedServeFailed`` and counts nothing).  Protocol
+            breaches (a node ending its stream early) never degrade —
+            replaying a broken contract in-process would mask the bug.
     """
 
     def __init__(self, manager: NodeManager, *, degraded_fallback: bool = True) -> None:
@@ -191,14 +192,20 @@ class RoutedExchange(Exchange):
             # throwaway serial node with a fresh string-keyed cache — the
             # uncached serial reference every node is pinned against — rather
             # than fail queries we can answer.
-            with self._lock:
-                self._degraded_serves += 1
             node = ThreadNode("degraded", max_workers=1, cache=LanguageCache(canonical=False))
+            drain = self._drain_node(node, part, offset, remaining, cancel)
             try:
-                yield from self._drain_node(node, part, offset, remaining, cancel)
+                for outcome in drain:
+                    if not remaining:
+                        # The fallback answered the whole tail: count the
+                        # rescue before its last outcome can be observed.
+                        with self._lock:
+                            self._degraded_serves += 1
+                    yield outcome
             except Exception as error:
                 reason = f"DegradedServeFailed: {type(error).__name__}: {error}"
             finally:
+                drain.close()
                 node.close()
         for local in sorted(remaining):
             spec = remaining[local]

@@ -369,7 +369,7 @@ class ResilienceServer:
         # lookup happens here — at planning time, before anything executes —
         # so a query never observes results produced later in its own call,
         # keeping serial and parallel serving outcome-identical.
-        hits: list[QueryOutcome] = []
+        hits: list[tuple[ScheduledQuery, QueryOutcome]] = []
         to_run: list[ScheduledQuery] = []
         for item in scheduled:
             cached = self._cache.lookup_result(
@@ -384,8 +384,8 @@ class ResilienceServer:
             if cached is None:
                 to_run.append(item)
             else:
-                hits.append(self._hit_outcome(item, cached))
-        return self._stream(to_run, failed + hits, cancel)
+                hits.append((item, self._hit_outcome(item, cached)))
+        return self._stream(to_run, failed, hits, cancel)
 
     def _tokens_for(
         self, scheduled: list[ScheduledQuery], cancel: CancelArg
@@ -403,9 +403,16 @@ class ResilienceServer:
         self,
         scheduled: list[ScheduledQuery],
         failed: list[QueryOutcome],
+        hits: list[tuple[ScheduledQuery, QueryOutcome]],
         cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
         yield from failed
+        # A result-cache hit answers only while its token has not fired, as
+        # an executed query would: cache temperature never changes outcomes.
+        for item, outcome in hits:
+            token = cancel.get(item.index) if cancel else None
+            state = token.state() if token is not None else None
+            yield outcome if state is None else cancelled_outcome(item, *state)
         if not scheduled:
             return
         tokens = self._tokens_for(scheduled, cancel)

@@ -28,9 +28,9 @@ breach:
   while the same round's traffic keeps full parity;
 * **drained means drained** — ``in_flight`` returns to zero after every
   round (the decrement-on-last-outcome contract);
-* **recovery** — after a kill, the fleet is healed (``auto_heal`` replaces
-  corpses through the manager) and serving is back to full parity within
-  ``recovery_rounds`` rounds;
+* **recovery** — after a kill, the fleet is healed (dead nodes are replaced
+  through the manager at round end) and serving is back to full parity
+  within ``recovery_rounds`` rounds;
 * **no leaked resources** — an optional ``leak_tracker`` (duck-typed to
   ``tests/leak_sanitizer.LeakTracker``: ``start()`` / ``stop()`` /
   ``leaks()``) brackets the whole soak; surviving threads, child processes,
@@ -176,9 +176,9 @@ class SoakRunner:
             request against the uncached serial reference (memoized per
             workload/database pair).
         recovery_rounds: bound on rounds from a kill to a healed, full-parity
-            fleet.
-        auto_heal: replace dead nodes through the manager at round end
-            (requires a launcher-backed exchange, as ``ThreadExchange`` is).
+            fleet; dead nodes are replaced through the manager at round end
+            (healing needs a launcher-backed exchange, as ``ThreadExchange``
+            is).
         pace: optional open-loop pacing factor — sleep ``pace *`` the trace's
             inter-arrival gap before each submission (0: submit immediately).
         log_path: append JSONL records (chaos events, outcomes, round
@@ -204,7 +204,6 @@ class SoakRunner:
         round_share: int | None = None,
         verify_parity: bool = True,
         recovery_rounds: int = 2,
-        auto_heal: bool = True,
         pace: float = 0.0,
         log_path: str | Path | None = None,
         leak_tracker=None,
@@ -240,7 +239,6 @@ class SoakRunner:
         self._round_share = round_share
         self._verify_parity = verify_parity
         self._recovery_rounds = recovery_rounds
-        self._auto_heal = auto_heal
         self._pace = pace
         self._log_path = None if log_path is None else Path(log_path)
         self._leak_tracker = leak_tracker
@@ -584,7 +582,7 @@ class SoakRunner:
         if heartbeat is None:
             return
         dead = [node_id for node_id, alive in heartbeat().items() if not alive]
-        if dead and self._auto_heal:
+        if dead:
             for node_id in dead:
                 exchange.manager.replace(node_id)
                 state.heals += 1

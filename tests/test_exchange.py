@@ -324,6 +324,32 @@ def test_whole_fleet_death_degrades_to_serial_with_parity(set_db):
         assert exchange.degraded_serves == 1
 
 
+def test_a_failed_degraded_serve_is_not_counted(set_db, monkeypatch):
+    """A fallback that raises answers DegradedServeFailed for every query
+    and leaves degraded_serves at zero: the counter counts rescues."""
+    from repro.service.exchange import threads
+
+    class FailingNode(ThreadNode):
+        def serve_iter(self, workload, database, *, cancel=None):
+            raise RuntimeError("fallback broke")
+
+    manager = NodeManager()
+    manager.register(ThreadNode("only", max_workers=1))
+    with RoutedExchange(manager) as exchange:
+        exchange.manager.kill("only")
+        monkeypatch.setattr(threads, "ThreadNode", FailingNode)
+        outcomes = sorted_outcomes(
+            exchange.submit(WorkloadEnvelope.single(Workload.coerce(QUERIES), set_db))
+        )
+        assert [outcome.index for outcome in outcomes] == list(range(len(QUERIES)))
+        assert all(outcome.status == "error" for outcome in outcomes)
+        assert all(
+            outcome.error == "DegradedServeFailed: RuntimeError: fallback broke"
+            for outcome in outcomes
+        )
+        assert exchange.degraded_serves == 0
+
+
 def test_whole_fleet_death_with_launcher_auto_replaces(set_db):
     with ThreadExchange(nodes=2, max_workers=1) as exchange:
         for node_id in exchange.nodes():

@@ -1,5 +1,10 @@
 """Tests for graph databases in set and bag semantics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ReproError
@@ -72,10 +77,6 @@ class TestBagGraphDatabase:
         with pytest.raises(ReproError):
             BagGraphDatabase.from_edges([("u", "a", "v", 0)])
 
-    def test_extended_semantics_allows_non_positive(self):
-        bag = BagGraphDatabase.from_edges([("u", "a", "v", -2)], allow_non_positive=True)
-        assert bag.multiplicity(("u", "a", "v")) == -2
-
     def test_rejects_non_integer(self):
         with pytest.raises(ReproError):
             BagGraphDatabase({("u", "a", "v"): 1.5})
@@ -110,6 +111,24 @@ class TestGenerators:
         second = generators.random_labelled_graph(5, 8, "ab", seed=3)
         assert first == second
         assert len(first) == 8
+
+    def test_random_bag_database_is_one_bag_under_every_hash_seed(self):
+        # Multiplicities are drawn in a hash-independent order, so a seed
+        # names one bag in every process.
+        script = (
+            "from repro.graphdb import generators; "
+            "print(generators.random_bag_database(8, 20, 'abc', seed=5).content_fingerprint())"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        fingerprints = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for hash_seed in ("0", "123")
+        }
+        assert len(fingerprints) == 1
 
     def test_word_walk(self):
         from repro.graphdb import generators

@@ -125,10 +125,3 @@ class TestEmptinessFiniteness:
 
     def test_max_word_length(self):
         assert operations.max_word_length(automaton("ab|abcd")) == 4
-
-
-class TestFreshLetter:
-    def test_fresh_letter_avoids_used(self):
-        letter = operations.fresh_letter("abc", avoid="xyz")
-        assert letter not in set("abcxyz")
-        assert len(letter) == 1

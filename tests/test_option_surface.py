@@ -54,8 +54,7 @@ OPTION_SURFACE = {
     SoakRunner: (
         "trace", "nodes", "max_workers", "cache", "transport", "exchange", "chaos",
         "requests_per_round", "max_queue_depth", "round_share", "verify_parity",
-        "recovery_rounds", "auto_heal", "pace", "log_path", "leak_tracker",
-        "keep_outcomes",
+        "recovery_rounds", "pace", "log_path", "leak_tracker", "keep_outcomes",
     ),
     LanguageCache: (
         "canonical", "store", "result_store", "max_entries", "max_age_seconds", "clock",
@@ -63,8 +62,9 @@ OPTION_SURFACE = {
 }
 
 #: Keywords the entry points no longer accept: serial execution is
-#: ``max_workers=1``, the router and failover bound are fixed, and a caller
-#: with its own fleet uses ``RoutedExchange(manager)``.
+#: ``max_workers=1``, the router and failover bound are fixed, a caller
+#: with its own fleet uses ``RoutedExchange(manager)``, and a soak always
+#: heals its fleet.
 REMOVED_KEYWORDS = {
     ResilienceServer: ("parallel",),
     ThreadNode: ("parallel",),
@@ -74,7 +74,7 @@ REMOVED_KEYWORDS = {
     HttpNodeServer: ("parallel",),
     HttpNodeLauncher: ("parallel",),
     HttpExchange: ("router", "max_failovers", "degraded_fallback", "parallel"),
-    SoakRunner: ("parallel",),
+    SoakRunner: ("parallel", "auto_heal"),
 }
 
 
@@ -86,7 +86,7 @@ def test_serving_option_surface_is_pinned():
         for entry in OPTION_SURFACE
     }
     assert surface == {entry.__qualname__: names for entry, names in OPTION_SURFACE.items()}
-    assert sum(len(names) for names in OPTION_SURFACE.values()) == 69
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 68
 
     positional = {
         ResilienceServer: (generators.random_labelled_graph(3, 4, "ab", seed=1),),

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.exceptions import NotApplicableError
-from repro.graphdb import GraphDatabase, generators
+from repro.flow.substrate import product_substrate
+from repro.graphdb import BagGraphDatabase, GraphDatabase, generators
+from repro.graphdb.database import as_bag
+from repro.graphdb.index import DatabaseIndex
 from repro.languages import Language
 from repro.resilience import (
+    execute,
+    plan_query,
     resilience_exact,
     resilience_one_dangling,
     verify_contingency_set,
@@ -80,3 +85,42 @@ class TestCorrectness:
         database = GraphDatabase.from_edges([("u", "a", "v"), ("w", "e", "z")])
         result = resilience_one_dangling(language, database)
         assert result.value == 0
+
+
+class TestCompiledOverTheSharedIndex:
+    """The rewritten database of the proof is never built: the product graph
+    is compiled from the database's own index and cached on its substrate."""
+
+    @pytest.mark.parametrize("query, mirrored", [("abc|be", False), ("cba|eb", True)])
+    @pytest.mark.parametrize("semantics", ["set", "bag"])
+    def test_execution_builds_no_database_and_reuses_the_graph(
+        self, monkeypatch, query, mirrored, semantics
+    ):
+        plan = plan_query(Language.from_regex(query))
+        assert plan.artefact.mirrored is mirrored
+        database = generators.random_labelled_graph(6, 18, "abce", seed=4)
+        if semantics == "bag":
+            database = database.to_bag(2)
+        index = as_bag(database).index()  # the shared bag view, built once
+
+        built = []
+        for cls in (GraphDatabase, BagGraphDatabase, DatabaseIndex):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        first = execute(plan, database)
+        substrate = product_substrate(index)
+        hits = substrate.graph_hits
+        second = execute(plan, database)
+        monkeypatch.undo()
+
+        assert built == []
+        assert substrate.graph_hits == hits + 1
+        assert second == first
+        assert first.details["mirrored"] is mirrored
+        assert first.value == resilience_exact(Language.from_regex(query), database).value
+        assert verify_contingency_set(Language.from_regex(query), database, first)

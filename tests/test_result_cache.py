@@ -12,7 +12,13 @@ import pytest
 
 from repro.graphdb import generators
 from repro.resilience import LanguageCache, resilience, resilience_many
-from repro.service import OK, ResilienceServer, resilience_serve
+from repro.service import (
+    ERROR,
+    OK,
+    CancellationToken,
+    ResilienceServer,
+    resilience_serve,
+)
 
 
 @pytest.fixture
@@ -182,6 +188,34 @@ class TestServerResultCache:
                 [replayed] = inner.serve(["aba"])
                 assert replayed.status == "ok"
                 assert generous.stats.result_hits == 1
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_a_cancelled_workload_is_cancelled_whatever_the_cache_temperature(
+        self, database, max_workers
+    ):
+        # A fired token skips a query whether or not the result cache could
+        # answer it: a cancelled workload's outcomes never depend on cache
+        # temperature.
+        workload = ["ax*b", "ab|bc", "(ab)*a"]
+
+        def cancelled():
+            token = CancellationToken()
+            token.cancel("WorkloadCancelled: the client went away")
+            return {index: token for index in range(len(workload))}
+
+        def serve(server):
+            outcomes = server.serve_iter(workload, cancel=cancelled())
+            return sorted(outcomes, key=lambda outcome: outcome.index)
+
+        with ResilienceServer(database, max_workers=max_workers) as cold:
+            cold_outcomes = serve(cold)
+        cache = LanguageCache()
+        with ResilienceServer(database, max_workers=max_workers, cache=cache) as warm:
+            assert [outcome.status for outcome in warm.serve(workload)] == [OK] * 3
+            warm_outcomes = serve(warm)
+        assert cache.stats.result_hits == len(workload)
+        assert [outcome.status for outcome in cold_outcomes] == [ERROR] * 3
+        assert warm_outcomes == cold_outcomes
 
     def test_failures_are_never_cached(self, database):
         from repro.service import QuerySpec

@@ -82,6 +82,22 @@ class TestResultStore:
         assert current.stats().ignored == 1
         assert len(current) == 0
 
+    def test_the_salt_covers_the_flow_core(self, monkeypatch):
+        # Every flow result's value and contingency set come from the flow
+        # package, so its sources must salt stored results.
+        from repro.resilience import store
+
+        hashed = []
+        monkeypatch.setattr(store, "_digest_files", lambda paths: hashed.extend(paths) or "")
+        store.result_code_salt.cache_clear()
+        try:
+            store.result_code_salt()
+        finally:
+            store.result_code_salt.cache_clear()
+        names = {(path.parent.name, path.name) for path in hashed}
+        assert {("flow", "compiled.py"), ("flow", "substrate.py")} <= names
+        assert {("resilience", "one_dangling.py"), ("graphdb", "index.py")} <= names
+
     def test_mismatched_key_inside_envelope_is_a_miss(self, tmp_path, database):
         cache = LanguageCache()
         language = cache.language("ab")

@@ -44,10 +44,15 @@ python -m pytest -x -q
 # Store keys must agree across processes (a warming process writes them, a
 # serving one reads them), and canonicalization numbers NFA states in
 # frozenset order internally: fixed hash seeds make this check reproducible.
-echo "ci: regex compilation and canonical fingerprints under PYTHONHASHSEED=0 and 123"
+# The one-dangling compile and map-back iterate dicts built from the index,
+# and generated bags must be one bag per seed: hash order must reach neither.
+echo "ci: regex compilation, canonical fingerprints, one-dangling and generated bags under PYTHONHASHSEED=0 and 123"
 for seed in 0 123; do
   PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
     tests/test_automaton_kernel.py -k "TestPinnedFingerprints or TestOnePassCompilation or TestCanonicalTables"
+  PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
+    tests/test_resilience_one_dangling.py \
+    tests/test_graphdb.py::TestGenerators::test_random_bag_database_is_one_bag_under_every_hash_seed
 done
 
 echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
