@@ -79,7 +79,7 @@ def _measure_matrix() -> dict:
         def compile_cold():
             # Clear the per-automaton compiled-graph cache so the timing is a
             # cold per-query compile over the (warm, shared) substrate.
-            index.substrates["product"]._graphs.clear()
+            index.substrates["product"].graphs.clear()
             return compile_product_graph(automaton, index)
 
         rows.append(

@@ -36,13 +36,47 @@ from __future__ import annotations
 
 from ..exceptions import NotLocalError
 from ..graphdb.index import DatabaseIndex
+from ..lru import BoundedLru
 from .compiled import CompiledFlowGraph, FlowGraphBuilder
 
 _SOURCE_ID = 0
 _TARGET_ID = 1
 
+#: Bound on the total arcs of the compiled graphs one substrate keeps, about
+#: 10 MiB.  The nine PTIME Figure 1 queries on a 10,000-edge database take
+#: 55,039 product and 29,923 BCL arcs (39,789 and 19,923 edges).
+GRAPH_CACHE_ARCS = 2**16
 
-class ProductSubstrate:
+
+def _arcs(graph: CompiledFlowGraph) -> int:
+    # A graph holds about 163 bytes per edge and 43 per node (its CSR offset,
+    # kept for every node id even when trimming drops all of its arcs), so
+    # four nodes count as one arc and an edge-less graph is not free.
+    return graph.num_edges + graph.num_nodes // 4
+
+
+class _GraphCache:
+    """A substrate's compiled graphs (``graphs``), keyed by query and wiring.
+
+    A graph is a pure function of its key and the database, so a repeat is
+    solve-only and an eviction costs a recompile, never an outcome.
+    """
+
+    __slots__ = ("graphs",)
+
+    def __init__(self) -> None:
+        self.graphs = BoundedLru(max_size=GRAPH_CACHE_ARCS, sizer=_arcs)
+
+    @property
+    def graphs_compiled(self) -> int:
+        return self.graphs.misses
+
+    @property
+    def graph_hits(self) -> int:
+        return self.graphs.hits
+
+
+class ProductSubstrate(_GraphCache):
     """Database half of the Theorem 3.13 product network, in columnar form.
 
     Attributes:
@@ -53,17 +87,12 @@ class ProductSubstrate:
             the fact's multiplicity with the backward arc's 0 (ready for
             :meth:`~repro.flow.compiled.FlowGraphBuilder.extend_raw`), and
             ``facts`` are the key objects.
-        graphs_compiled: how many per-query product graphs were compiled on
-            top of this substrate (observability: > 1 proves substrate reuse).
-        graph_hits: how many compilations were answered from the
-            compiled-graph cache instead (same query class and wiring, same
-            database — the graph is a pure function of them, so repeats are
-            solve-only).
     """
 
-    __slots__ = ("num_db_nodes", "label_arcs", "graphs_compiled", "graph_hits", "_graphs")
+    __slots__ = ("num_db_nodes", "label_arcs")
 
     def __init__(self, index: DatabaseIndex) -> None:
+        super().__init__()
         node_ids = index.node_ids
         facts = index.facts
         multiplicities = index.multiplicities
@@ -82,9 +111,6 @@ class ProductSubstrate:
                 )
             )
             self.label_arcs[label] = (sources, targets, caps_interleaved, label_facts)
-        self.graphs_compiled = 0
-        self.graph_hits = 0
-        self._graphs: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -93,7 +119,7 @@ class ProductSubstrate:
         )
 
 
-class BclSubstrate:
+class BclSubstrate(_GraphCache):
     """Database half of the Proposition 7.6 BCL network.
 
     The per-fact finite arcs come straight from the index; the ∞ wiring
@@ -102,14 +128,12 @@ class BclSubstrate:
     one database whose words share a letter pair share the computed arcs.
     """
 
-    __slots__ = ("_index", "_pairs", "graphs_compiled", "graph_hits", "_graphs")
+    __slots__ = ("_index", "_pairs")
 
     def __init__(self, index: DatabaseIndex) -> None:
+        super().__init__()
         self._index = index
         self._pairs: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
-        self.graphs_compiled = 0
-        self.graph_hits = 0
-        self._graphs: dict = {}
 
     def pair_arcs(self, first: str, second: str) -> tuple[tuple[int, int], ...]:
         """``(fact_id, next_fact_id)`` pairs for consecutive letters, memoized.
@@ -188,15 +212,11 @@ def compile_product_graph(
     from ..languages.automata import compile_automaton
 
     substrate = product_substrate(index)
-    # The graph is a pure function of (automaton, wiring, database): repeats
-    # of a query class on a warm database skip straight to the solver.
     # Automata are small frozen dataclasses, so hashing one costs microseconds.
     cache_key = read_once_automaton if dangling is None else (read_once_automaton, dangling)
-    cached = substrate._graphs.get(cache_key)
+    cached = substrate.graphs.get(cache_key)
     if cached is not None:
-        substrate.graph_hits += 1
         return cached
-    substrate.graphs_compiled += 1
     x_letter, z_capacities, mirrored = dangling or (None, (), False)
     plan = compile_automaton(read_once_automaton)
     # repro: allow[det-repr-sort] -- canonical state numbering: automaton
@@ -256,7 +276,7 @@ def compile_product_graph(
         offset = state_offset[state]
         extend_infinite((offset + node, _TARGET_ID) for node in range(num_db_nodes))
     graph = builder.build(_SOURCE_ID, _TARGET_ID, trim=True)
-    substrate._graphs[cache_key] = graph
+    substrate.graphs.set(cache_key, graph)
     return graph
 
 
@@ -275,11 +295,9 @@ def compile_bcl_graph(
         raise ValueError("the BCL reduction requires a bag database index")
     substrate = bcl_substrate(index)
     cache_key = (structure, removed_fact_ids)
-    cached = substrate._graphs.get(cache_key)
+    cached = substrate.graphs.get(cache_key)
     if cached is not None:
-        substrate.graph_hits += 1
         return cached
-    substrate.graphs_compiled += 1
     multiplicities = index.multiplicities
     facts = index.facts
     num_facts = len(facts)
@@ -317,5 +335,5 @@ def compile_bcl_graph(
             if fact_id not in removed:
                 add_infinite(2 + 2 * fact_id + 1, _TARGET_ID)
     graph = builder.build(_SOURCE_ID, _TARGET_ID, trim=True)
-    substrate._graphs[cache_key] = graph
+    substrate.graphs.set(cache_key, graph)
     return graph

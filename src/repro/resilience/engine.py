@@ -29,7 +29,6 @@ parallel serving with per-query budgets and structured outcomes, see
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING
@@ -38,6 +37,7 @@ from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase, as_bag, as_set
 from ..languages import chain, dangling, local, read_once
 from ..languages.core import Language
+from ..lru import BoundedLru
 from ..rpq.query import RPQ
 from .bcl_flow import resilience_bcl
 from .exact import resilience_exact
@@ -195,7 +195,7 @@ class CacheStats:
         result_uncacheable: completions the result layer can never serve or
             memoize — error and budget-exceeded outcomes.  Counted separately
             so error-heavy chaos traffic cannot skew the hit rate.
-        evictions: entries dropped by the size/age bounds (all layers).
+        evictions: entries dropped by the ``max_entries`` bound (all layers).
         entries: **gauge** — entries currently held across the cache's maps
             (expression, canonical class and result layers, plus the plan
             memo when the canonical layer is off).
@@ -258,115 +258,6 @@ def _estimate_result_bytes(result: "ResilienceResult") -> int:
     return 256 + 64 * (0 if contingency is None else len(contingency))
 
 
-class _BoundedLru:
-    """Insertion-ordered map with optional size/age bounds (LRU eviction).
-
-    A plain dict is the backing store (Python dicts preserve insertion
-    order); a hit re-inserts the entry at the tail, so the head is always the
-    least-recently-used entry.  ``max_entries`` caps the entry count and
-    ``max_age_seconds`` drops entries idle longer than the bound (the stamp
-    refreshes on every touch).  Every bound-driven removal calls ``on_evict``
-    — replacement and explicit deletion do not, so the callback counts real
-    evictions only.  Like the dicts it replaces, the map is not locked:
-    individual dict operations are atomic under the GIL and racing writers
-    at worst duplicate work, never corrupt state.
-    """
-
-    __slots__ = ("_data", "_max_entries", "_max_age", "_clock", "_on_evict", "_sizer", "bytes_estimate")
-
-    def __init__(
-        self,
-        *,
-        max_entries: int | None,
-        max_age_seconds: float | None,
-        clock: Callable[[], float],
-        on_evict: Callable[[object, object], None],
-        sizer: Callable[[object], int],
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 (got {max_entries})")
-        if max_age_seconds is not None and max_age_seconds <= 0:
-            raise ValueError(f"max_age_seconds must be positive (got {max_age_seconds})")
-        self._data: dict = {}
-        self._max_entries = max_entries
-        self._max_age = max_age_seconds
-        self._clock = clock
-        self._on_evict = on_evict
-        self._sizer = sizer
-        self.bytes_estimate = 0
-
-    def get(self, key, default=None):
-        entry = self._data.get(key)
-        if entry is None:
-            return default
-        value, _, size = entry
-        if self._max_age is not None:
-            self._expire()
-            if key not in self._data:
-                return default
-        # LRU touch: re-insert at the tail with a fresh stamp.  The size
-        # recorded at insertion travels with the entry — values can grow
-        # after insertion (a language memoizes its infix-free sublanguage in
-        # place), so re-measuring on removal would corrupt the accounting.
-        self._data.pop(key, None)
-        self._data[key] = (value, self._clock(), size)
-        return value
-
-    def set(self, key, value) -> None:
-        old = self._data.pop(key, None)
-        if old is not None:
-            self.bytes_estimate -= old[2]
-        size = self._sizer(value)
-        self._data[key] = (value, self._clock(), size)
-        self.bytes_estimate += size
-        self._expire()
-        self._shrink()
-
-    def setdefault(self, key, value):
-        """Insert ``value`` unless the key is live; return the held value."""
-        held = self.get(key)
-        if held is not None:
-            return held
-        self.set(key, value)
-        return value
-
-    def _evict(self, key) -> None:
-        value, _, size = self._data.pop(key)
-        self.bytes_estimate -= size
-        self._on_evict(key, value)
-
-    def _expire(self) -> None:
-        if self._max_age is None:
-            return
-        horizon = self._clock() - self._max_age
-        # Recency order == insertion order here, so stale entries cluster at
-        # the head; stop at the first live one.
-        for key, (_, stamp, _size) in list(self._data.items()):
-            if stamp > horizon:
-                break
-            if key in self._data:
-                self._evict(key)
-
-    def _shrink(self) -> None:
-        if self._max_entries is None:
-            return
-        while len(self._data) > self._max_entries:
-            try:
-                oldest = next(iter(self._data))
-            except StopIteration:  # pragma: no cover - concurrent shrink race
-                return
-            self._evict(oldest)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def values(self):
-        return [entry[0] for entry in self._data.values()]
-
-
 class _CanonicalClass:
     """One canonical equivalence class: its representative and its plan."""
 
@@ -415,17 +306,15 @@ class LanguageCache:
     The cache holds strong references to the languages it has seen; unbounded
     (the default), it is scoped to a serving session (or one
     :func:`resilience_many` batch), not to the process.  Long-lived servers
-    pass ``max_entries`` and/or ``max_age_seconds`` to bound every layer with
-    LRU eviction — each layer (expression, canonical class, result, and the
-    plan memo of ``canonical=False``) then holds at most ``max_entries``
-    entries and drops entries idle
-    longer than ``max_age_seconds``; evictions are counted in
-    :attr:`CacheStats.evictions` and the live footprint is surfaced through
-    the :attr:`CacheStats.entries` / :attr:`CacheStats.bytes_estimate` gauges.
-    An evicted entry is never a correctness event: the next equivalent query
-    simply re-parses/re-classifies (or re-reads the store) and re-enters.
-    ``clock`` injects the age-bound's time source for tests (defaults to a
-    monotonic clock).  Re-exported as :class:`repro.service.LanguageCache`.
+    pass ``max_entries`` to bound every layer with LRU eviction — each layer
+    (expression, canonical class, result, and the plan memo of
+    ``canonical=False``) then holds at most ``max_entries`` entries;
+    evictions are counted in :attr:`CacheStats.evictions` and the live
+    footprint is surfaced through the :attr:`CacheStats.entries` /
+    :attr:`CacheStats.bytes_estimate` gauges.  An evicted entry is never a
+    correctness event: the next equivalent query simply re-parses/re-classifies
+    (or re-reads the store) and re-enters.  Re-exported as
+    :class:`repro.service.LanguageCache`.
     """
 
     def __init__(
@@ -435,8 +324,6 @@ class LanguageCache:
         store: "AnalysisStore | None" = None,
         result_store: "ResultStore | None" = None,
         max_entries: int | None = None,
-        max_age_seconds: float | None = None,
-        clock: "Callable[[], float] | None" = None,
     ) -> None:
         if store is not None and not canonical:
             raise ValueError("an AnalysisStore requires the canonical layer (canonical=True)")
@@ -446,21 +333,9 @@ class LanguageCache:
         self._store = store
         self._result_store = result_store
         self.stats = CacheStats()
-        # Only the age bound reads the clock, and never for ordering or
-        # emitted values — a monotonic source keeps idle-time arithmetic
-        # immune to wall-clock jumps.
-        if clock is None:
-            clock = time.monotonic  # repro: allow[det-wallclock] -- age-bound idle timer; injectable, never emitted
-        self._clock = clock
 
-        def bounded(sizer: "Callable[[object], int]") -> _BoundedLru:
-            return _BoundedLru(
-                max_entries=max_entries,
-                max_age_seconds=max_age_seconds,
-                clock=clock,
-                on_evict=self._note_eviction,
-                sizer=sizer,
-            )
+        def bounded(sizer: "Callable[[object], int]") -> BoundedLru:
+            return BoundedLru(max_entries=max_entries, sizer=sizer)
 
         self._by_expression = bounded(_estimate_language_bytes)
         # The plan memo of ``canonical=False`` (canonical classes hold their
@@ -481,13 +356,11 @@ class LanguageCache:
     def result_store(self) -> "ResultStore | None":
         return self._result_store
 
-    def _note_eviction(self, key: object, value: object) -> None:
-        self.stats.evictions += 1
-
     def _refresh_gauges(self) -> None:
         maps = (self._by_expression, self._classes, self._plans, self._results)
         self.stats.entries = sum(len(m) for m in maps)
-        self.stats.bytes_estimate = sum(m.bytes_estimate for m in maps)
+        self.stats.bytes_estimate = sum(m.size for m in maps)
+        self.stats.evictions = sum(m.evictions for m in maps)
 
     def language(self, query: Language | RPQ | str) -> Language:
         """Return the (shared) :class:`Language` for a query.

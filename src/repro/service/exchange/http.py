@@ -52,13 +52,13 @@ import json
 import pickle
 import sys
 import threading
-from collections import OrderedDict
 from collections.abc import Iterator
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic, sleep
 
 from ...exceptions import ReproError
+from ...lru import BoundedLru
 from ..cancellation import CancellationToken
 from ..outcome import QueryOutcome
 from ..server import CancelArg
@@ -131,7 +131,7 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
                 database = decode_payload(request["database"])
                 fingerprint = runtime.ensure_database(database)
                 # Keep the decoded object so /serve ships only the fingerprint.
-                self.server.databases.put(fingerprint, database)
+                self.server.databases.set(fingerprint, database)
                 self._reply_json({"fingerprint": fingerprint})
             elif self.path == "/serve":
                 self._serve(runtime, self._read_json())
@@ -184,53 +184,6 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
 
 
-class _DatabaseLru:
-    """Bounded ``fingerprint -> database`` map behind a node's ``/serve``.
-
-    LRU over fingerprints — both shipping and serving count as touches.
-    Evicting an entry also drops the runtime's warm server for that content
-    (:meth:`ThreadNode.evict_database`), so a long-lived node under
-    many-database traffic holds at most ``cap`` databases total.  A client
-    whose database was evicted sees a 409 on ``/serve`` and re-ships.
-    """
-
-    def __init__(self, runtime: ThreadNode, cap: int) -> None:
-        if cap < 1:
-            raise ReproError(f"max_databases must be >= 1 (got {cap})")
-        self._runtime = runtime
-        self._cap = cap
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, AnyDatabase] = OrderedDict()
-
-    def get(self, fingerprint: str) -> AnyDatabase | None:
-        with self._lock:
-            database = self._entries.get(fingerprint)
-            if database is not None:
-                self._entries.move_to_end(fingerprint)
-            return database
-
-    def put(self, fingerprint: str, database: AnyDatabase) -> None:
-        evicted: list[str] = []
-        with self._lock:
-            self._entries[fingerprint] = database
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self._cap:
-                victim, _ = self._entries.popitem(last=False)
-                evicted.append(victim)
-        # Server teardown happens outside the lock: closing pools is slow and
-        # must not block concurrent /serve lookups.
-        for victim in evicted:
-            self._runtime.evict_database(victim)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        with self._lock:
-            return fingerprint in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class _NodeHttpServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that treats client transport faults as routine.
 
@@ -253,7 +206,10 @@ class HttpNodeServer:
     The runtime is a plain :class:`ThreadNode`; the HTTP layer adds only
     transport.  ``port=0`` binds an ephemeral port — read :attr:`address`.
     ``max_databases`` bounds how many shipped databases (and their warm
-    servers) the node retains, LRU over fingerprints.
+    servers) the node retains, LRU over fingerprints: shipping and serving
+    both count as touches, and an eviction also drops the runtime's warm
+    server for that content (:meth:`ThreadNode.evict_database`).  A client
+    whose database was evicted sees a 409 on ``/serve`` and re-ships.
     """
 
     def __init__(
@@ -265,12 +221,19 @@ class HttpNodeServer:
         max_workers: int | None = None,
         max_databases: int = DEFAULT_MAX_DATABASES,
     ) -> None:
+        if max_databases < 1:
+            raise ReproError(f"max_databases must be >= 1 (got {max_databases})")
         self.runtime = ThreadNode(node_id, max_workers=max_workers)
         self._httpd = _NodeHttpServer((host, port), _NodeRequestHandler)
         self._httpd.runtime = self.runtime
         # ensure_database returns only the fingerprint over the wire; the
         # server keeps the decoded database objects for /serve lookups.
-        self._httpd.databases = _DatabaseLru(self.runtime, max_databases)
+        # Server teardown runs outside the map's lock: closing pools is slow
+        # and must not block concurrent /serve lookups.
+        self._httpd.databases = BoundedLru(
+            max_entries=max_databases,
+            on_evict=lambda fingerprint, _database: self.runtime.evict_database(fingerprint),
+        )
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name=f"http-node-{node_id}", daemon=True
         )

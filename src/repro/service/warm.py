@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from collections.abc import Iterable, Mapping
 
 from ..resilience.engine import resilience_many, warm_database
@@ -40,9 +40,12 @@ from .workload import QuerySpec
 class WarmReport:
     """What one warming pass did (returned by the warm functions and the CLI).
 
+    Every count covers this pass alone, also when the pass reuses a cache or
+    store handle that earlier passes used.
+
     Attributes:
         queries: corpus entries processed (specs, strings or languages).
-        classes: distinct canonical language classes seen.
+        classes: canonical language classes the pass added to the cache.
         classifications: classifications actually run — entries already
             present in the analysis store resolve without one.
         analyses_written: entries written to the analysis store.
@@ -95,8 +98,10 @@ def warm_queries(
         cache = LanguageCache(store=store, result_store=result_store)
     specs = [_as_spec(entry) for entry in corpus]
     skipped: list[str] = []
+    classes_before = cache.stats.canonical_misses
+    classifications_before = cache.stats.classifications
     writes_before = store.stats().writes
-    result_writes_before = 0 if result_store is None else result_store.stats().writes
+    result_writes_before = _result_writes(result_store)
     analysed: list[QuerySpec] = []
     for spec in specs:
         try:
@@ -118,15 +123,17 @@ def warm_queries(
                 computed += _warm_result(cache, spec, database, skipped)
     return WarmReport(
         queries=len(specs),
-        classes=cache.stats.canonical_misses,
-        classifications=cache.stats.classifications,
+        classes=cache.stats.canonical_misses - classes_before,
+        classifications=cache.stats.classifications - classifications_before,
         analyses_written=store.stats().writes - writes_before,
         results_computed=computed,
-        results_written=(
-            0 if result_store is None else result_store.stats().writes - result_writes_before
-        ),
+        results_written=_result_writes(result_store) - result_writes_before,
         skipped=tuple(skipped),
     )
+
+
+def _result_writes(result_store: ResultStore | None) -> int:
+    return 0 if result_store is None else result_store.stats().writes
 
 
 def _warm_result(cache: LanguageCache, spec: QuerySpec, database, skipped: list[str]) -> int:
@@ -156,17 +163,16 @@ def warm_trace(
     *,
     store: AnalysisStore,
     result_store: ResultStore | None = None,
-    results: bool = True,
 ) -> WarmReport:
     """Warm the stores with a traffic trace's exact query mix.
 
     ``trace`` is duck-typed to :class:`~repro.traffic.generator.TrafficTrace`:
     ``.requests`` (each with ``.workload`` iterating specs and a
     ``.database_key``) and ``.databases`` (key → database).  Every distinct
-    spec is analysed once; with ``results=True`` (and a ``result_store``),
-    each spec's resilience is computed against exactly the databases its
-    requests target — the warm set matches what serving the trace would
-    compute, no more.
+    spec is analysed once; with a ``result_store``, each spec's resilience is
+    computed against exactly the databases its requests target — the warm
+    set matches what serving the trace would compute, no more.  Without one
+    the pass warms analyses only.
     """
     cache = LanguageCache(store=store, result_store=result_store)
     by_database: dict[str, list[QuerySpec]] = {}
@@ -183,22 +189,20 @@ def warm_trace(
             seen.add(dedup_key)
             corpus.append(spec)
             by_database.setdefault(request.database_key, []).append(spec)
-    report = warm_queries(corpus, store=store, result_store=None, cache=cache)
+    result_writes_before = _result_writes(result_store)
+    report = warm_queries(corpus, store=store, cache=cache)
     computed = 0
     skipped = list(report.skipped)
-    if results and result_store is not None:
+    if result_store is not None:
         for key in sorted(by_database):
             database = trace.databases[key]
             warm_database(database)
             for spec in by_database[key]:
                 computed += _warm_result(cache, spec, database, skipped)
-    return WarmReport(
-        queries=report.queries,
-        classes=report.classes,
-        classifications=report.classifications,
-        analyses_written=report.analyses_written,
+    return replace(
+        report,
         results_computed=computed,
-        results_written=0 if result_store is None else result_store.stats().writes,
+        results_written=_result_writes(result_store) - result_writes_before,
         skipped=tuple(skipped),
     )
 

@@ -81,7 +81,7 @@ MATRIX_QUERIES = (
     QuerySpec("ab", semantics="set"),        # forced semantics
 )
 
-CACHE_VARIANTS = ("uncached", "string-cache", "canonical-cache", "disk-cache")
+CACHE_VARIANTS = ("uncached", "string-cache", "canonical-cache", "disk-cache", "bounded-cache")
 EXECUTION_VARIANTS = (
     "serial",
     "warm-pool",
@@ -117,6 +117,9 @@ def make_cache(kind: str, store_directory) -> LanguageCache | None:
         return LanguageCache()
     if kind == "disk-cache":
         return LanguageCache(store=AnalysisStore(store_directory))
+    if kind == "bounded-cache":
+        # One entry per layer: every variant serves through a thrashing cache.
+        return LanguageCache(max_entries=1)
     raise AssertionError(kind)
 
 

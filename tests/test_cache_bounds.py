@@ -1,18 +1,44 @@
-"""Tests for the bounded cache tier (ISSUE 10 tentpole).
+"""Tests for the bounded in-process caches.
 
-``LanguageCache`` with ``max_entries`` / ``max_age_seconds`` must keep every
-layer bounded with LRU eviction, count evictions, and surface its live
-footprint through the ``entries`` / ``bytes_estimate`` gauges — and a bounded
-server's cache footprint must stay flat over a long soak instead of growing
-with every distinct query ever seen (the unbounded-growth leak class).
+Every in-process memo is one :class:`~repro.lru.BoundedLru`: it must hold
+its bounds, count its evictions and keep its accounting exact while threads
+share it.  ``LanguageCache`` with ``max_entries`` keeps every layer bounded,
+surfaces its live footprint through the ``entries`` / ``bytes_estimate``
+gauges, and a bounded server's cache footprint must stay flat over a long
+soak instead of growing with every distinct query ever seen (the
+unbounded-growth leak class).  The compiled flow graphs of each database's
+substrates are bounded by ``GRAPH_CACHE_ARCS`` total arcs: their footprint
+plateaus over many query classes, the Figure 1 PTIME queries on a
+10,000-edge database stay fully cached, and evicting every graph never
+changes an outcome.
 """
+
+import itertools
+import random
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro.flow.substrate as substrate_module
+from repro.flow.substrate import bcl_substrate, product_substrate
 from repro.graphdb import generators
-from repro.resilience import CacheStats, LanguageCache, resilience_many
+from repro.graphdb.database import as_bag
+from repro.languages import Language
+from repro.languages.examples import FIGURE_1_LANGUAGES, PTIME
+from repro.lru import BoundedLru
+from repro.resilience import (
+    CacheStats,
+    LanguageCache,
+    execute,
+    plan_query,
+    resilience,
+    resilience_many,
+)
 from repro.service import ResilienceServer
-from repro.traffic.generator import TrafficProfile, generate_traffic
+from repro.traffic.generator import DatabaseSpec, TrafficProfile, generate_traffic
 from repro.traffic.soak import SoakRunner
 
 
@@ -65,26 +91,11 @@ class TestBoundedLru:
         assert thrashed == reference
         assert bounded.stats.evictions > 0
 
-    def test_age_bound_expires_idle_entries(self, database):
-        clock = [0.0]
-        cache = LanguageCache(max_age_seconds=10.0, clock=lambda: clock[0])
-        resilience_many(["ab"], database, cache=cache)
-        held = cache.stats.entries
-        assert held > 0
-        clock[0] = 5.0
-        resilience_many(["ab"], database, cache=cache)  # touch refreshes stamps
-        clock[0] = 12.0  # < 5.0 + 10, so the touched entries survive
-        assert cache.lookup_result(cache.language("ab"), database) is not None
-        clock[0] = 100.0
-        resilience_many(["ba"], database, cache=cache)
-        assert cache.stats.evictions >= held
-        assert "ab" not in cache._by_expression
-
     def test_rejects_degenerate_bounds(self):
         with pytest.raises(ValueError):
             LanguageCache(max_entries=0)
         with pytest.raises(ValueError):
-            LanguageCache(max_age_seconds=0)
+            BoundedLru(max_size=0)
 
     def test_bytes_estimate_gauge_is_nonnegative_under_thrash(self, database):
         # Regression: languages grow after insertion (memoized infix-free
@@ -105,6 +116,185 @@ class TestBoundedLru:
         aggregated = CacheStats.aggregate([snapshot, CacheStats()])
         assert aggregated.entries == snapshot.entries
         assert aggregated.evictions == snapshot.evictions
+
+
+class TestSharedLru:
+    def test_threads_sharing_one_map_keep_it_consistent(self):
+        # Fleet nodes share one LanguageCache, so its maps see interleaved
+        # sets and gets from several threads.  Every set inserts a new key,
+        # so all but the last two are evicted.
+        lru = BoundedLru(max_entries=2)
+        workers, rounds = 4, 2000
+        errors = []
+        start = threading.Barrier(workers)
+
+        def hammer(worker: int) -> None:
+            try:
+                start.wait(timeout=60)
+                for step in range(rounds):
+                    lru.set((worker, step), step)
+                    lru.get((worker, step - 1))
+                    lru.get(((worker + 1) % workers, step))
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,)) for worker in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert lru.size == len(lru) == 2
+        assert lru.evictions == workers * rounds - 2
+        assert lru.hits + lru.misses == 2 * workers * rounds
+
+    def test_size_bound_evicts_least_recent_and_never_keeps_an_oversized_value(self):
+        evicted = []
+        lru = BoundedLru(max_size=10, sizer=len, on_evict=lambda key, value: evicted.append(key))
+        lru.set("a", "xxxx")
+        lru.set("b", "xxxx")
+        assert lru.get("a") == "xxxx"  # touch: "b" is now the least recent
+        lru.set("c", "xxxx")
+        assert evicted == ["b"]
+        assert ("a" in lru, "c" in lru, lru.size) == (True, True, 8)
+        oversized = "x" * 11
+        lru.set("d", oversized)
+        assert lru.setdefault("d", oversized) is oversized
+        assert "d" not in lru
+        assert (evicted, lru.size, lru.evictions) == (["b"], 8, 1)
+
+    def test_on_evict_runs_after_the_lock_is_released(self):
+        # The HTTP node's callback tears down a warm server; it may touch the
+        # map, which would deadlock under a held lock.
+        lru = BoundedLru(max_entries=1, on_evict=lambda key, value: lru.get(key))
+        lru.set("a", 1)
+        lru.set("b", 2)
+        assert (len(lru), "b" in lru, lru.evictions) == (1, True, 1)
+
+    def test_clear_empties_without_counting_evictions(self):
+        lru = BoundedLru(max_entries=4)
+        lru.set("a", 1)
+        lru.clear()
+        assert (len(lru), lru.size, lru.evictions) == (0, 0, 0)
+
+
+#: The PTIME queries of Figure 1: 3 local, 2 BCL and 4 one-dangling.
+PTIME_QUERIES = tuple(example.regex for example in FIGURE_1_LANGUAGES if example.complexity == PTIME)
+
+#: ``PTIME_QUERIES`` plus a one-dangling pair whose plans mirror the database.
+IDENTITY_QUERIES = PTIME_QUERIES + ("eb|abc", "cba|eb")
+
+
+def _soak_plans(count: int) -> list:
+    """Plans of ``count`` distinct classes, three local to one one-dangling."""
+    letters = "abcdefxy"
+    words = ["".join(word) for word in itertools.permutations(letters, 3)]
+    random.Random(0).shuffle(words)
+    candidates = [f"{a}{b}{c}|{b}{e}" for a, b, c, e in itertools.permutations(letters, 4)]
+    random.Random(1).shuffle(candidates)
+    dangling = (
+        plan
+        for plan in (plan_query(Language.from_regex(query)) for query in candidates)
+        if plan.method == "one-dangling-flow"
+    )
+    plans = []
+    for position, word in enumerate(words[: count * 3 // 4]):
+        plans.append(plan_query(Language.from_regex(word)))
+        if position % 3 == 2:
+            plans.append(next(dangling))
+    return plans
+
+
+def _flow_mib() -> float:
+    """MiB held by blocks allocated in ``repro/flow`` since tracing began."""
+    pattern = str(Path(substrate_module.__file__).parent / "*")
+    snapshot = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, pattern)])
+    return sum(stat.size for stat in snapshot.statistics("filename")) / 2**20
+
+
+class TestGraphCache:
+    def test_footprint_plateaus_at_the_arc_budget(self, monkeypatch):
+        monkeypatch.setattr(substrate_module, "GRAPH_CACHE_ARCS", 1024)
+        plans = _soak_plans(120)
+        assert {plan.method for plan in plans} == {"local-flow", "one-dangling-flow"}
+        database = generators.random_labelled_graph(100, 600, "abcdefxy", seed=7)
+        footprint = {}
+        tracemalloc.start()
+        try:
+            for count, plan in enumerate(plans, 1):
+                execute(plan, database)
+                if count in (30, 120):
+                    footprint[count] = _flow_mib()
+        finally:
+            tracemalloc.stop()
+        graphs = product_substrate(as_bag(database).index()).graphs
+        assert graphs.size <= 1024
+        assert graphs.evictions > 0
+        # Unbounded, each of the last 90 classes keeps its graph: about
+        # 2.3 MiB more on this database.
+        assert footprint[120] - footprint[30] < 0.5
+
+    def test_edge_less_graphs_count_against_the_budget(self, monkeypatch):
+        # A query over letters the database lacks compiles a graph with no
+        # edges that still holds an offset per node id; counted as free, any
+        # number of them would stay resident.
+        monkeypatch.setattr(substrate_module, "GRAPH_CACHE_ARCS", 200)
+        database = generators.random_labelled_graph(50, 120, "ab", seed=1)
+        for word in itertools.permutations("pqrstu", 3):
+            resilience("".join(word), database)
+        graphs = product_substrate(as_bag(database).index()).graphs
+        assert graphs.size <= 200
+        assert graphs.evictions == graphs.misses - len(graphs) > 0
+
+    def test_default_budget_keeps_every_ptime_graph_of_a_large_database(self):
+        spec = DatabaseSpec(num_nodes=1000, num_edges=10_000)
+        database = spec.build(seed=random.Random(7).randrange(2**31))
+        for query in PTIME_QUERIES:
+            resilience(query, database)
+        index = as_bag(database).index()
+        product, bcl = product_substrate(index), bcl_substrate(index)
+        hits = product.graph_hits + bcl.graph_hits
+        for query in PTIME_QUERIES:
+            resilience(query, database)
+        assert (len(product.graphs), product.graphs.size) == (7, 55_039)
+        assert (len(bcl.graphs), bcl.graphs.size) == (2, 29_923)
+        assert product.graphs.evictions == bcl.graphs.evictions == 0
+        assert product.graph_hits + bcl.graph_hits == hits + len(PTIME_QUERIES)
+        assert product.graphs_compiled + bcl.graphs_compiled == len(PTIME_QUERIES)
+
+    def test_evicting_every_graph_never_changes_an_outcome(self, monkeypatch):
+        # A graph is a pure function of its key, so a recompile after an
+        # eviction must reproduce values, contingency sets and methods.  Each
+        # database serves every query twice: the second pass hits under the
+        # default budget and recompiles under a one-arc budget.
+        plans = [plan_query(Language.from_regex(query)) for query in IDENTITY_QUERIES]
+
+        def outcomes() -> tuple[list, int]:
+            records, hits = [], 0
+            for seed in range(12):
+                database = generators.random_labelled_graph(6, 16, "abcdexy", seed=seed)
+                for target in (database, database.to_bag(3)):
+                    for _ in range(2):
+                        for plan in plans:
+                            result = execute(plan, target)
+                            records.append((result.value, result.contingency_set, result.method))
+                    index = as_bag(target).index()
+                    hits += product_substrate(index).graph_hits + bcl_substrate(index).graph_hits
+            return records, hits
+
+        reference, reference_hits = outcomes()
+        monkeypatch.setattr(substrate_module, "GRAPH_CACHE_ARCS", 1)
+        thrashed, thrashed_hits = outcomes()
+        assert len(reference) == 2 * 2 * 12 * len(IDENTITY_QUERIES)
+        assert thrashed == reference
+        assert reference_hits > 0
+        assert thrashed_hits == 0
 
 
 class TestServerMetricsSurface:

@@ -1,9 +1,10 @@
 """Differential conformance suite for the serving runtime.
 
 One fixed query × database matrix runs through every cache variant
-{uncached, string-cache, canonical-cache, disk-cache} crossed with every
-registered execution variant {serial, warm-pool, streaming,
-async-single-workload, async-3-concurrent-workloads-merged,
+{uncached, string-cache, canonical-cache, disk-cache, bounded-cache} (the
+last a thrashing one-entry cache, so every variant also serves through
+eviction) crossed with every registered execution variant {serial,
+warm-pool, streaming, async-single-workload, async-3-concurrent-workloads-merged,
 distributed-2-nodes, distributed-4-nodes, distributed-2-nodes-node-kill},
 and every combination must produce outcomes *identical* to the uncached
 serial reference — values, contingency sets, methods, statuses, node counts,

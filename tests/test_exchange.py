@@ -652,6 +652,11 @@ def test_database_lru_evicts_and_reships_under_cap(set_db, bag_db):
         manager.close()
 
 
+def test_database_bound_below_one_is_rejected():
+    with pytest.raises(ReproError, match="max_databases must be >= 1"):
+        HttpNodeServer("node-0", max_databases=0)
+
+
 def test_health_monitor_opens_recloses_and_invalidates_shipped(set_db):
     """The full circuit: probes fail -> breaker opens -> cooldown -> half-open
     probe against the restarted node -> reclose invalidates the handle's

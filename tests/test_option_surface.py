@@ -56,15 +56,13 @@ OPTION_SURFACE = {
         "requests_per_round", "max_queue_depth", "round_share", "verify_parity",
         "recovery_rounds", "pace", "log_path", "leak_tracker", "keep_outcomes",
     ),
-    LanguageCache: (
-        "canonical", "store", "result_store", "max_entries", "max_age_seconds", "clock",
-    ),
+    LanguageCache: ("canonical", "store", "result_store", "max_entries"),
 }
 
 #: Keywords the entry points no longer accept: serial execution is
 #: ``max_workers=1``, the router and failover bound are fixed, a caller
-#: with its own fleet uses ``RoutedExchange(manager)``, and a soak always
-#: heals its fleet.
+#: with its own fleet uses ``RoutedExchange(manager)``, a soak always
+#: heals its fleet, and a cache is bounded by entries only.
 REMOVED_KEYWORDS = {
     ResilienceServer: ("parallel",),
     ThreadNode: ("parallel",),
@@ -75,6 +73,7 @@ REMOVED_KEYWORDS = {
     HttpNodeLauncher: ("parallel",),
     HttpExchange: ("router", "max_failovers", "degraded_fallback", "parallel"),
     SoakRunner: ("parallel", "auto_heal"),
+    LanguageCache: ("max_age_seconds", "clock"),
 }
 
 
@@ -86,7 +85,7 @@ def test_serving_option_surface_is_pinned():
         for entry in OPTION_SURFACE
     }
     assert surface == {entry.__qualname__: names for entry, names in OPTION_SURFACE.items()}
-    assert sum(len(names) for names in OPTION_SURFACE.values()) == 68
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 66
 
     positional = {
         ResilienceServer: (generators.random_labelled_graph(3, 4, "ab", seed=1),),

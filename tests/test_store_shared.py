@@ -319,6 +319,24 @@ class TestWarmPass:
         assert report.results_written == report.results_computed
         assert report.skipped == ()
 
+    def test_counts_are_per_pass_on_reused_handles(self, tmp_path):
+        # The restart benchmark warms every trace through one result-store
+        # handle, and a caller may reuse one cache across corpora: each
+        # report counts its own pass, never the handle's lifetime.
+        store = AnalysisStore(tmp_path / "analysis")
+        result_store = ResultStore(tmp_path / "result")
+        for seed in (13, 14):
+            held = len(result_store)
+            trace = generate_traffic(TrafficProfile(seed=seed, requests=10))
+            report = warm_trace(trace, store=store, result_store=result_store)
+            assert report.results_written == len(result_store) - held > 0
+
+        query_store = AnalysisStore(tmp_path / "queries")
+        cache = LanguageCache(store=query_store)
+        warm_queries(["ab", "ba"], store=query_store, cache=cache)
+        report = warm_queries(["ab", "xy", "yx"], store=query_store, cache=cache)
+        assert (report.classes, report.classifications, report.analyses_written) == (2, 2, 2)
+
     def test_warm_is_best_effort_about_bad_corpus_entries(self, tmp_path):
         store = AnalysisStore(tmp_path)
         report = warm_queries(["ab", "((", "ba"], store=store)

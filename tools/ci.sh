@@ -45,21 +45,24 @@ python -m pytest -x -q
 # serving one reads them), and canonicalization numbers NFA states in
 # frozenset order internally: fixed hash seeds make this check reproducible.
 # The one-dangling compile and map-back iterate dicts built from the index,
-# and generated bags must be one bag per seed: hash order must reach neither.
-echo "ci: regex compilation, canonical fingerprints, one-dangling and generated bags under PYTHONHASHSEED=0 and 123"
+# generated bags must be one bag per seed, and a graph recompiled after an
+# eviction must equal the evicted one: hash order must reach none of them.
+echo "ci: regex compilation, canonical fingerprints, one-dangling, generated bags and graph eviction under PYTHONHASHSEED=0 and 123"
 for seed in 0 123; do
   PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
     tests/test_automaton_kernel.py -k "TestPinnedFingerprints or TestOnePassCompilation or TestCanonicalTables"
   PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
     tests/test_resilience_one_dangling.py \
-    tests/test_graphdb.py::TestGenerators::test_random_bag_database_is_one_bag_under_every_hash_seed
+    tests/test_graphdb.py::TestGenerators::test_random_bag_database_is_one_bag_under_every_hash_seed \
+    tests/test_cache_bounds.py::TestGraphCache::test_evicting_every_graph_never_changes_an_outcome
 done
 
 echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
 python -m pytest -q perfbench/selftest.py
 
-echo "ci: leak-sanitized service/exchange/traffic suites (threads, processes, sockets, temp dirs)"
-REPRO_LEAK_SANITIZER=on python -m pytest -q tests/test_server.py tests/test_async_server.py tests/test_exchange.py tests/test_traffic.py
+echo "ci: leak-sanitized service/exchange/traffic/cache-bound suites (threads, processes, sockets, temp dirs)"
+REPRO_LEAK_SANITIZER=on python -m pytest -q tests/test_server.py tests/test_async_server.py tests/test_exchange.py tests/test_traffic.py \
+  tests/test_cache_bounds.py
 
 # A warming process and a serving process never share a hash seed, and
 # stored plans pickle frozenset-based automata: the warm half must read back
