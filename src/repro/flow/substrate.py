@@ -103,12 +103,7 @@ class ProductSubstrate(_GraphCache):
             sources = tuple(node_ids[fact.source] for fact in label_facts)
             targets = tuple(node_ids[fact.target] for fact in label_facts)
             caps_interleaved = tuple(
-                value
-                for fact_id in fact_ids
-                for value in (
-                    1 if multiplicities is None else multiplicities[fact_id],
-                    0,
-                )
+                value for fact_id in fact_ids for value in (multiplicities[fact_id], 0)
             )
             self.label_arcs[label] = (sources, targets, caps_interleaved, label_facts)
 
@@ -291,8 +286,6 @@ def compile_bcl_graph(
     substrate — their arcs and attachments are simply skipped, which yields
     the identical network.
     """
-    if index.multiplicities is None:  # pragma: no cover - bcl runs on bag views
-        raise ValueError("the BCL reduction requires a bag database index")
     substrate = bcl_substrate(index)
     cache_key = (structure, removed_fact_ids)
     cached = substrate.graphs.get(cache_key)

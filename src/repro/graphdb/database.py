@@ -3,7 +3,11 @@
 A graph database over an alphabet ``Sigma`` is a set of labelled edges (called
 *facts*) ``v --a--> v'``.  A bag graph database additionally carries a positive
 multiplicity for each fact; multiplicities act as removal costs in the
-resilience problem.
+resilience problem.  A set database is the bag whose every multiplicity is
+``1``, so both classes index their facts the same way: each database has one
+:class:`~repro.graphdb.index.DatabaseIndex`, which every algorithm reads (with
+unit multiplicities for a set database), and each class names its
+``semantics`` once.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Hashable
 
 from ..exceptions import ReproError
@@ -57,13 +60,14 @@ class GraphDatabase:
     cached on the instance.
     """
 
+    semantics = "set"
+
     def __init__(self, facts: Iterable[Fact | tuple[Node, str, Node]] = ()) -> None:
         self._facts: frozenset[Fact] = frozenset(_as_fact(edge) for edge in facts)
         self._index: DatabaseIndex | None = None
         self._outgoing: dict[Node, tuple[Fact, ...]] | None = None
         self._incoming: dict[Node, tuple[Fact, ...]] | None = None
         self._content_fingerprint: str | None = None
-        self._unit_bag: "BagGraphDatabase | None" = None
 
     # ------------------------------------------------------------------ constructors
 
@@ -194,7 +198,6 @@ class GraphDatabase:
         state["_outgoing"] = None
         state["_incoming"] = None
         state["_content_fingerprint"] = None
-        state["_unit_bag"] = None
         return state
 
     # ------------------------------------------------------------------ modifications (functional)
@@ -230,26 +233,19 @@ class GraphDatabase:
         """Return a bag database giving every fact the same multiplicity."""
         return BagGraphDatabase({fact: multiplicity for fact in self._facts})
 
-    def unit_bag(self) -> "BagGraphDatabase":
-        """Return the (cached) unit-multiplicity bag view of the database.
-
-        The flow reductions run on bag views; caching the view means every
-        query on a set database hits one shared bag index — and therefore one
-        shared flow substrate — instead of rebuilding both per query.
-        """
-        if self._unit_bag is None:
-            self._unit_bag = self.to_bag(1)
-        return self._unit_bag
-
 
 class BagGraphDatabase:
     """A bag-semantics graph database: facts with positive integer multiplicities."""
+
+    semantics = "bag"
 
     def __init__(self, multiplicities: Mapping[Fact | tuple[Node, str, Node], int]) -> None:
         cleaned: dict[Fact, int] = {}
         for edge, multiplicity in multiplicities.items():
             fact = _as_fact(edge)
-            if not isinstance(multiplicity, int):
+            # bool is an int subclass, but True would fingerprint differently
+            # from the equal multiplicity 1.
+            if not isinstance(multiplicity, int) or isinstance(multiplicity, bool):
                 raise ReproError(f"multiplicity of {fact} must be an integer")
             if multiplicity <= 0:
                 raise ReproError(f"multiplicity of {fact} must be positive (got {multiplicity})")
@@ -293,7 +289,7 @@ class BagGraphDatabase:
 
     @property
     def nodes(self) -> frozenset[Node]:
-        return self.database.nodes
+        return frozenset(self.index().nodes)
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -304,10 +300,6 @@ class BagGraphDatabase:
 
     def multiplicities(self) -> dict[Fact, int]:
         return dict(self._multiplicities)
-
-    def multiplicity_map(self) -> Mapping[Fact, int]:
-        """Return a read-only, copy-free view of the multiplicity mapping."""
-        return MappingProxyType(self._multiplicities)
 
     def total_cost(self, facts: Iterable[Fact | tuple[Node, str, Node]]) -> int:
         """Return the sum of multiplicities of the given facts."""
@@ -357,17 +349,6 @@ class BagGraphDatabase:
         return BagGraphDatabase(
             {Fact(fact.target, fact.label, fact.source): mult for fact, mult in self._multiplicities.items()}
         )
-
-
-def as_bag(database: GraphDatabase | BagGraphDatabase) -> BagGraphDatabase:
-    """Return a bag view of a database (unit multiplicities for set databases).
-
-    The view is cached on set databases (see :meth:`GraphDatabase.unit_bag`),
-    so repeated calls share one bag index and one flow substrate.
-    """
-    if isinstance(database, BagGraphDatabase):
-        return database
-    return database.unit_bag()
 
 
 def as_set(database: GraphDatabase | BagGraphDatabase) -> GraphDatabase:

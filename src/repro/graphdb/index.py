@@ -38,7 +38,9 @@ class DatabaseIndex:
         facts_by_label: label -> tuple of ids of the facts carrying it.
         outgoing_by_label: ``(node, label)`` -> tuple of ids of the facts
             leaving ``node`` with label ``label``.
-        multiplicities: per-fact-id multiplicity (``None`` for set databases).
+        multiplicities: per-fact-id multiplicity; ``1`` for every fact of a
+            set database, which is a bag with unit multiplicities (Section 2
+            of the paper).
         substrates: per-reduction-shape cache of compiled flow substrates (the
             database-only halves of the product networks; see
             :mod:`repro.flow.substrate`).  Built lazily, shared by every query
@@ -85,7 +87,7 @@ class DatabaseIndex:
         self.facts_by_label = {label: tuple(ids) for label, ids in by_label.items()}
         self.outgoing_by_label = {key: tuple(ids) for key, ids in out_by_label.items()}
         if multiplicities is None:
-            self.multiplicities = None
+            self.multiplicities = (1,) * len(self.facts)
         else:
             self.multiplicities = tuple(multiplicities[fact] for fact in self.facts)
 
@@ -97,5 +99,4 @@ class DatabaseIndex:
         return [self.facts[index] for index in ids]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "bag" if self.multiplicities is not None else "set"
-        return f"DatabaseIndex({len(self.facts)} facts, {len(self.nodes)} nodes, {kind})"
+        return f"DatabaseIndex({len(self.facts)} facts, {len(self.nodes)} nodes)"

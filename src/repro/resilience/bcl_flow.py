@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..flow.compiled import solve_min_cut
 from ..flow.network import FlowNetwork
 from ..flow.substrate import compile_bcl_graph
-from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_bag
+from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase
 from ..languages import chain
 from ..languages.core import Language
 from .result import INFINITE, ResilienceResult, finite_value
@@ -28,8 +28,10 @@ _SOURCE = "__source__"
 _TARGET = "__target__"
 
 
-def build_bcl_network(structure: chain.BclStructure, database: BagGraphDatabase) -> FlowNetwork:
-    """Build the Proposition 7.6 flow network for a BCL structure and a bag database."""
+def build_bcl_network(
+    structure: chain.BclStructure, database: GraphDatabase | BagGraphDatabase
+) -> FlowNetwork:
+    """Build the Proposition 7.6 flow network for a BCL structure and a database."""
     network = FlowNetwork(source=_SOURCE, target=_TARGET)
     index = database.index()
 
@@ -40,7 +42,6 @@ def build_bcl_network(structure: chain.BclStructure, database: BagGraphDatabase)
         return ("end", fact)
 
     # One finite-capacity edge per fact.
-    assert index.multiplicities is not None
     for fact_id, fact in enumerate(index.facts):
         network.add_edge(
             start_vertex(fact), end_vertex(fact), float(index.multiplicities[fact_id]), key=fact
@@ -94,9 +95,8 @@ def resilience_bcl(
     Raises:
         NotApplicableError: if the language is not a bipartite chain language.
     """
-    bag = as_bag(database)
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
     name = language.name or ""
 
     if structure is None:
@@ -108,7 +108,7 @@ def resilience_bcl(
     # removed.  Instead of materializing a copy of the database without them,
     # the compiler below skips their arcs over the shared per-database
     # substrate — the resulting network is identical.
-    index = bag.index()
+    index = database.index()
     forced_ids: set[int] = set()
     for letter in structure.single_letter_words:
         forced_ids.update(index.facts_by_label.get(letter, ()))

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
-from ..graphdb.database import BagGraphDatabase, GraphDatabase, as_bag, as_set
+from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..languages import chain, dangling, local, read_once
 from ..languages.core import Language
 from ..lru import BoundedLru
@@ -157,17 +157,15 @@ def plan_query(
 
 
 def warm_database(database: GraphDatabase | BagGraphDatabase) -> None:
-    """Build the database's shared fact indexes exactly once.
+    """Build the database's one shared fact index.
 
-    Warms the set view's index (the exact search path) and the bag view's
-    (the flow reductions run on bags — for set databases the cached
-    :meth:`~repro.graphdb.database.GraphDatabase.unit_bag` view, whose index
-    carries the shared flow substrates).  Called before fanning out over a
+    Every algorithm reads that index: the exact search and the flow
+    reductions alike, with unit multiplicities for a set database, and the
+    flow substrates are cached on it.  Called before fanning out over a
     query fleet so every query hits the same cached adjacency structures
     (batched serving here, per-worker warm-up in :mod:`repro.service.serve`).
     """
-    as_set(database).index()
-    as_bag(database).index()
+    database.index()
 
 
 @dataclass
@@ -469,7 +467,7 @@ class LanguageCache:
         if not self._canonical:
             return None
         if semantics is None:
-            semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+            semantics = database.semantics
         return (
             language.fingerprint(),
             database.content_fingerprint(),
@@ -595,7 +593,7 @@ def execute(
     :func:`resilience`; ``name`` is the display name the result reports.
     """
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
     infix_free, method, artefact = plan.infix_free, plan.method, plan.artefact
     if infix_free is None:
         return ResilienceResult(INFINITE, None, semantics, "trivial-epsilon", name)
@@ -764,8 +762,6 @@ def verify_contingency_set(
         return False
     if not rpq.is_contingency_set(database, result.contingency_set):
         return False
-    if isinstance(database, BagGraphDatabase):
-        cost = database.total_cost(result.contingency_set)
-    else:
-        cost = len(result.contingency_set)
+    index = database.index()
+    cost = sum(index.multiplicities[index.fact_ids[fact]] for fact in result.contingency_set)
     return cost == result.value

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from ..exceptions import SearchBudgetExceeded
-from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_bag, as_set
+from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_set
 from ..languages.automata import compile_automaton
 from ..languages.core import Language
 from ..rpq.evaluation import find_l_walk, find_l_walk_ids
@@ -52,11 +52,12 @@ def resilience_exact(
 
     Args:
         language: the query language ``L``.
-        database: a set or bag database; set databases are treated as bag
-            databases with unit multiplicities, so the returned value is the
-            set-semantics resilience for them.
-        semantics: force ``"set"`` or ``"bag"`` reporting; inferred from the
-            database type when omitted.
+        database: a set or bag database.  The search reads fact ids and
+            multiplicities off the database's one index, where a set
+            database's facts have multiplicity 1, so the returned value is
+            the set-semantics resilience for it.
+        semantics: force ``"set"`` or ``"bag"`` reporting; the database's
+            ``semantics`` when omitted.
         max_nodes: optional cap on the number of branch-and-bound nodes; the
             search raises :class:`~repro.exceptions.SearchBudgetExceeded` if
             exceeded (protection for callers that use the exact baseline on
@@ -67,18 +68,15 @@ def resilience_exact(
             Unlike ``max_nodes``, a time budget is machine-dependent, so it
             makes results reproducible only in the success case.
     """
-    bag = as_bag(database)
-    set_database = as_set(database)
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
 
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "exact", language.name or "")
 
     plan = compile_automaton(language.automaton)
-    index = set_database.index()
-    multiplicity_map = bag.multiplicity_map()
-    multiplicity = [multiplicity_map[fact] for fact in index.facts]
+    index = database.index()
+    multiplicity = index.multiplicities
 
     num_facts = len(index.facts)
     removed = bytearray(num_facts)
@@ -165,16 +163,15 @@ def resilience_exact_reference(
     assert identical values *and* identical ``nodes_explored`` — but pays a
     full copy and re-index per node, which is what the overlay search removes.
     """
-    bag = as_bag(database)
-    set_database = as_set(database)
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
 
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "exact-reference", language.name or "")
 
     automaton = language.automaton
-    multiplicities = bag.multiplicities()
+    index = database.index()
+    multiplicities = dict(zip(index.facts, index.multiplicities))
 
     state = _SearchState(best_value=math.inf, best_set=None)
 
@@ -211,7 +208,7 @@ def resilience_exact_reference(
             )
             newly_forbidden.add(fact)
 
-    branch(set_database, frozenset(), 0.0, frozenset())
+    branch(as_set(database), frozenset(), 0.0, frozenset())
 
     value = state.best_value
     if value == math.inf:  # pragma: no cover - only when epsilon in L, handled above
@@ -239,23 +236,22 @@ def resilience_brute_force(
     """
     from itertools import combinations
 
-    bag = as_bag(database)
-    set_database = as_set(database)
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "brute-force", language.name or "")
     plan = compile_automaton(language.automaton)
-    index = set_database.index()
-    facts = list(index.facts)
-    multiplicity_map = bag.multiplicity_map()
+    index = database.index()
+    facts = index.facts
+    multiplicities = index.multiplicities
+    unit_costs = all(multiplicity == 1 for multiplicity in multiplicities)
 
     best_value: float = math.inf
     best_set: frozenset[Fact] | None = None
     removed = bytearray(len(facts))
     for size in range(len(facts) + 1):
         for subset in combinations(range(len(facts)), size):
-            cost = sum(multiplicity_map[facts[fact_id]] for fact_id in subset)
+            cost = sum(multiplicities[fact_id] for fact_id in subset)
             if cost >= best_value:
                 continue
             for fact_id in subset:
@@ -265,8 +261,9 @@ def resilience_brute_force(
                 best_set = frozenset(facts[fact_id] for fact_id in subset)
             for fact_id in subset:
                 removed[fact_id] = 0
-        # In set semantics the first size with a contingency set is optimal.
-        if semantics == "set" and best_set is not None:
+        # With unit costs the first size with a contingency set is optimal.
+        # Ask the index, not ``semantics``: that only names the reporting.
+        if unit_costs and best_set is not None:
             break
     return ResilienceResult(
         float(int(best_value)) if best_value != math.inf else INFINITE,

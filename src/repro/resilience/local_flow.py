@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from ..exceptions import NotLocalError
 from ..flow.compiled import solve_min_cut
-from ..flow.mincut import min_cut
 from ..flow.network import FlowNetwork
 from ..flow.substrate import compile_product_graph
-from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_bag
+from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase
 from ..languages.automata import EpsilonNFA, compile_automaton
 from ..languages.core import Language
 from ..languages import local as local_module
@@ -35,7 +34,9 @@ _SOURCE = "__source__"
 _TARGET = "__target__"
 
 
-def build_product_network(read_once_automaton: EpsilonNFA, database: BagGraphDatabase) -> FlowNetwork:
+def build_product_network(
+    read_once_automaton: EpsilonNFA, database: GraphDatabase | BagGraphDatabase
+) -> FlowNetwork:
     """Build the flow network ``N_{D,A}`` of Theorem 3.13.
 
     The automaton must be read-once; each fact of the database is the key of its
@@ -45,7 +46,8 @@ def build_product_network(read_once_automaton: EpsilonNFA, database: BagGraphDat
         raise NotLocalError("the automaton passed to the Theorem 3.13 reduction must be read-once")
     network = FlowNetwork(source=_SOURCE, target=_TARGET)
     automaton = read_once_automaton
-    nodes = database.nodes
+    index = database.index()
+    nodes = index.nodes
 
     # The compiled plan indexes the letter transitions of the *untrimmed*
     # automaton by label; read-once automata have exactly one per label.
@@ -54,8 +56,7 @@ def build_product_network(read_once_automaton: EpsilonNFA, database: BagGraphDat
         label: pairs[0] for label, pairs in plan.transitions_by_label.items()
     }
 
-    multiplicities = database.multiplicity_map()
-    for fact, multiplicity in multiplicities.items():
+    for fact, multiplicity in zip(index.facts, index.multiplicities):
         transition = transition_of_letter.get(fact.label)
         if transition is None:
             continue
@@ -101,9 +102,8 @@ def resilience_local(
         the resilience value, a witnessing contingency set, and the compiled
         product-graph size in ``details``.
     """
-    bag = as_bag(database)
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
 
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "local-flow", language.name or "")
@@ -115,7 +115,7 @@ def resilience_local(
     # facts with labels that the language never uses are simply ignored by the
     # construction.  (The object-network builder above is retained as the
     # differential reference; see the flow README.)
-    graph = compile_product_graph(automaton, bag.index())
+    graph = compile_product_graph(automaton, database.index())
     cut = solve_min_cut(graph)
     if cut.value == INFINITE:
         return ResilienceResult(INFINITE, None, semantics, "local-flow", language.name or "")
@@ -141,16 +141,16 @@ def resilience_local_via_profile(
 
     This mirrors the combined-complexity pipeline of the paper (Lemma 3.17): the
     input automaton is converted to the local overapproximation and then to an
-    RO-epsilon-NFA; it is exposed separately for the ablation benchmark.
+    RO-epsilon-NFA; it is exposed separately for the ablation benchmark.  The
+    product graph is compiled over the database's shared index, like
+    :func:`resilience_local`'s.
     """
     overapproximation = local_module.local_overapproximation(language)
     ro_automaton = read_once.local_dfa_to_read_once(overapproximation)
-    bag = as_bag(database)
-    semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+    semantics = database.semantics
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "local-flow-profile", language.name or "")
-    network = build_product_network(ro_automaton, bag)
-    cut = min_cut(network)
+    cut = solve_min_cut(compile_product_graph(ro_automaton, database.index()))
     if cut.value == INFINITE:
         return ResilienceResult(INFINITE, None, semantics, "local-flow-profile", language.name or "")
     contingency = frozenset(key for key in cut.cut_keys if isinstance(key, Fact))

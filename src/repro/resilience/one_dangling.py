@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from ..exceptions import NotApplicableError
 from ..flow.compiled import solve_min_cut
 from ..flow.substrate import compile_product_graph
-from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_bag
+from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase
 from ..languages.automata import EpsilonNFA
 from ..languages.core import Language
 from ..languages.dangling import one_dangling_decomposition
@@ -100,13 +100,13 @@ def resilience_one_dangling(
         NotApplicableError: if the language is not one-dangling.
     """
     if semantics is None:
-        semantics = "bag" if isinstance(database, BagGraphDatabase) else "set"
+        semantics = database.semantics
     name = language.name or ""
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
     if plan is None:
         plan = plan_one_dangling(language)
-    index = as_bag(database).index()
+    index = database.index()
     facts, multiplicities, mirrored = index.facts, index.multiplicities, plan.mirrored
 
     # The rewrite, read off the index (of the mirrored database when

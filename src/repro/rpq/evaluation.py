@@ -22,18 +22,20 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from ..graphdb.database import Fact, GraphDatabase, Node
+from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, Node
 from ..graphdb.index import DatabaseIndex
 from ..languages.automata import CompiledAutomaton, EpsilonNFA, State, compile_automaton
 
 
-def has_l_walk(automaton: EpsilonNFA | CompiledAutomaton, database: GraphDatabase) -> bool:
+def has_l_walk(
+    automaton: EpsilonNFA | CompiledAutomaton, database: GraphDatabase | BagGraphDatabase
+) -> bool:
     """Return whether the database contains an ``L``-walk for ``L = L(automaton)``."""
     return find_l_walk(automaton, database) is not None
 
 
 def find_l_walk(
-    automaton: EpsilonNFA | CompiledAutomaton, database: GraphDatabase
+    automaton: EpsilonNFA | CompiledAutomaton, database: GraphDatabase | BagGraphDatabase
 ) -> list[Fact] | None:
     """Return a shortest ``L``-walk of the database as a list of facts, or ``None``.
 

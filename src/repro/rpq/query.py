@@ -28,17 +28,17 @@ class RPQ:
     def holds(self, database: GraphDatabase | BagGraphDatabase) -> bool:
         """Return whether the query is satisfied by the database.
 
-        Bag databases are evaluated through their underlying set database
-        (multiplicities are invisible to queries).
+        Evaluation reads the database's index; multiplicities are invisible
+        to queries.
         """
-        return evaluation.has_l_walk(self.language.automaton, as_set(database))
+        return evaluation.has_l_walk(self.language.automaton, database)
 
     def __call__(self, database: GraphDatabase | BagGraphDatabase) -> bool:
         return self.holds(database)
 
     def witness_walk(self, database: GraphDatabase | BagGraphDatabase) -> list[Fact] | None:
         """Return a shortest witnessing walk (list of facts), or ``None``."""
-        return evaluation.find_l_walk(self.language.automaton, as_set(database))
+        return evaluation.find_l_walk(self.language.automaton, database)
 
     def matches(
         self, database: GraphDatabase | BagGraphDatabase, max_walk_length: int | None = None
@@ -50,8 +50,7 @@ class RPQ:
         self, database: GraphDatabase | BagGraphDatabase, facts: frozenset[Fact] | set[Fact]
     ) -> bool:
         """Return whether removing ``facts`` from the database falsifies the query."""
-        remaining = as_set(database).remove(facts)
-        return not self.holds(remaining)
+        return not self.holds(database.remove(facts))
 
     def __repr__(self) -> str:
         return f"RPQ({self.name!r})"

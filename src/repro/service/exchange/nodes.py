@@ -11,6 +11,7 @@ same either way, so in-process and over-the-wire serving cannot drift.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 
 from ...exceptions import ReproError
@@ -49,7 +50,9 @@ class ThreadNode(Node):
         self._max_workers = max_workers
         self._owns_cache = cache is None
         self._cache = cache if cache is not None else LanguageCache()
+        # HTTP handler threads register and evict databases concurrently.
         self._servers: dict[str, ResilienceServer] = {}
+        self._servers_lock = threading.Lock()
         self._envelopes_served = 0
         self._killed = False
         self._closed = False
@@ -74,14 +77,27 @@ class ThreadNode(Node):
     # ---------------------------------------------------------------- serving
 
     def ensure_database(self, database: AnyDatabase) -> str:
-        if not self.alive:
-            raise ReproError(f"node {self.node_id!r} is not serving")
+        self._server_for(database)
+        return database.content_fingerprint()
+
+    def _server_for(self, database: AnyDatabase) -> ResilienceServer:
+        """Get or create the database's server in one step, so a concurrent
+        :meth:`evict_database` cannot leave a caller without one (and a
+        concurrent :meth:`close` sees every server this creates)."""
         fingerprint = database.content_fingerprint()
-        if fingerprint not in self._servers:
-            self._servers[fingerprint] = ResilienceServer(
-                database, max_workers=self._max_workers, cache=self._cache
-            )
-        return fingerprint
+        with self._servers_lock:
+            if not self.alive:
+                raise ReproError(f"node {self.node_id!r} is not serving")
+            server = self._servers.get(fingerprint)
+            if server is None:
+                server = self._servers[fingerprint] = ResilienceServer(
+                    database, max_workers=self._max_workers, cache=self._cache
+                )
+        return server
+
+    def _server_list(self) -> list[ResilienceServer]:
+        with self._servers_lock:
+            return list(self._servers.values())
 
     def evict_database(self, fingerprint: str) -> None:
         """Drop the warm server for one fingerprint (bounded-cache eviction).
@@ -90,7 +106,8 @@ class ThreadNode(Node):
         eviction trades warmth for memory, never correctness.  Unknown
         fingerprints are a no-op.
         """
-        server = self._servers.pop(fingerprint, None)
+        with self._servers_lock:
+            server = self._servers.pop(fingerprint, None)
         if server is not None:
             server.close()
 
@@ -101,24 +118,21 @@ class ThreadNode(Node):
         *,
         cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
-        if not self.alive:
-            raise ReproError(f"node {self.node_id!r} is not serving")
-        server = self._servers.get(self.ensure_database(database))
+        server = self._server_for(database)
         self._envelopes_served += 1
         return server.serve_iter(workload, database=database, cancel=cancel)
 
     # -------------------------------------------------------------- lifecycle
 
     def stats(self) -> NodeStats:
+        servers = self._server_list()
         return NodeStats(
             node_id=self.node_id,
             alive=self.alive,
-            databases=len(self._servers),
+            databases=len(servers),
             envelopes_served=self._envelopes_served,
             cache=self._cache.stats.snapshot() if self._owns_cache else CacheStats(),
-            pool=PoolStats.aggregate(
-                server.pool_stats() for server in self._servers.values()
-            ),
+            pool=PoolStats.aggregate(server.pool_stats() for server in servers),
         )
 
     def kill(self) -> None:
@@ -126,12 +140,12 @@ class ThreadNode(Node):
         will observe :attr:`killed` and hand their unserved tail back to the
         exchange for re-routing."""
         self._killed = True
-        for server in self._servers.values():
+        for server in self._server_list():
             server.close()
 
     def close(self) -> None:
         self._closed = True
-        for server in self._servers.values():
+        for server in self._server_list():
             server.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -25,7 +25,6 @@ import pytest
 import repro.flow.substrate as substrate_module
 from repro.flow.substrate import bcl_substrate, product_substrate
 from repro.graphdb import generators
-from repro.graphdb.database import as_bag
 from repro.languages import Language
 from repro.languages.examples import FIGURE_1_LANGUAGES, PTIME
 from repro.lru import BoundedLru
@@ -233,7 +232,7 @@ class TestGraphCache:
                     footprint[count] = _flow_mib()
         finally:
             tracemalloc.stop()
-        graphs = product_substrate(as_bag(database).index()).graphs
+        graphs = product_substrate(database.index()).graphs
         assert graphs.size <= 1024
         assert graphs.evictions > 0
         # Unbounded, each of the last 90 classes keeps its graph: about
@@ -248,7 +247,7 @@ class TestGraphCache:
         database = generators.random_labelled_graph(50, 120, "ab", seed=1)
         for word in itertools.permutations("pqrstu", 3):
             resilience("".join(word), database)
-        graphs = product_substrate(as_bag(database).index()).graphs
+        graphs = product_substrate(database.index()).graphs
         assert graphs.size <= 200
         assert graphs.evictions == graphs.misses - len(graphs) > 0
 
@@ -257,7 +256,7 @@ class TestGraphCache:
         database = spec.build(seed=random.Random(7).randrange(2**31))
         for query in PTIME_QUERIES:
             resilience(query, database)
-        index = as_bag(database).index()
+        index = database.index()
         product, bcl = product_substrate(index), bcl_substrate(index)
         hits = product.graph_hits + bcl.graph_hits
         for query in PTIME_QUERIES:
@@ -284,7 +283,7 @@ class TestGraphCache:
                         for plan in plans:
                             result = execute(plan, target)
                             records.append((result.value, result.contingency_set, result.method))
-                    index = as_bag(target).index()
+                    index = target.index()
                     hits += product_substrate(index).graph_hits + bcl_substrate(index).graph_hits
             return records, hits
 

@@ -97,6 +97,14 @@ class TestDatabaseIndex:
         for fact_id, fact in enumerate(index.facts):
             assert index.multiplicities[fact_id] == bag.multiplicity(fact)
 
+    def test_set_index_is_its_unit_bag_index(self):
+        # A set database is the bag with unit multiplicities: its own index
+        # numbers facts and nodes exactly as its unit bag's would.
+        database = generators.random_labelled_graph(6, 14, "abc", seed=3, allow_self_loops=True)
+        index, unit = database.index(), database.to_bag(1).index()
+        assert index.multiplicities == (1,) * len(database)
+        assert (index.facts, index.nodes, index.node_ids) == (unit.facts, unit.nodes, unit.node_ids)
+
     def test_cached_adjacency_views(self):
         database = generators.random_labelled_graph(5, 9, "ab", seed=4)
         assert database.outgoing() is database.outgoing()

@@ -12,13 +12,14 @@ behavior (including its stats round-trip).
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from faults import ChaosHttpNodeLauncher, drain_with_kill
 from repro.exceptions import ReproError
-from repro.graphdb import generators
+from repro.graphdb import GraphDatabase, generators
 from repro.service import (
     CircuitBreaker,
     EnvelopePart,
@@ -650,6 +651,83 @@ def test_database_lru_evicts_and_reships_under_cap(set_db, bag_db):
         assert sorted_outcomes(node.serve_iter(workload, set_db)) == reference(set_db)
     finally:
         manager.close()
+
+
+def test_an_eviction_right_after_registration_leaves_the_serve_a_server(set_db):
+    """An HTTP node's LRU may evict a database the moment it is registered;
+    the serve that registered it must still find a server."""
+    node = ThreadNode("node-0", max_workers=1)
+    register = node.ensure_database
+
+    def register_then_evict(database):
+        fingerprint = register(database)
+        node.evict_database(fingerprint)
+        return fingerprint
+
+    node.ensure_database = register_then_evict
+    try:
+        outcomes = sorted_outcomes(node.serve_iter(Workload.coerce(QUERIES), set_db))
+        assert outcomes == reference(set_db)
+    finally:
+        node.close()
+
+
+def test_thread_node_server_map_survives_concurrent_serves_evictions_and_stats():
+    """An HTTP node's LRU evicts warm servers and its handler threads register
+    databases while others serve or read stats.  A serve must always find a
+    server (it used to register, then look up in a second step a racing
+    eviction could empty), and stats must never trip over a registration."""
+    databases = [
+        GraphDatabase.from_edges([("u", "a", f"v{position}")]) for position in range(6)
+    ]
+    workload = Workload.coerce(["ab"])
+    node = ThreadNode("node-0", max_workers=1)
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    served = [0, 0]
+
+    def serve(worker: int) -> None:
+        for step in range(1500):
+            try:
+                node.serve_iter(workload, databases[(worker + step) % len(databases)])
+                served[worker] += 1
+            except ReproError:
+                pass  # the server was evicted and closed after the lookup
+            except Exception as error:
+                errors.append(error)
+                return
+
+    def evict() -> None:
+        while not stop.is_set():
+            for database in databases:
+                node.evict_database(database.content_fingerprint())
+
+    def read_stats() -> None:
+        while not stop.is_set():
+            try:
+                node.stats()
+            except Exception as error:
+                errors.append(error)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        servers = [threading.Thread(target=serve, args=(worker,)) for worker in range(2)]
+        observers = [threading.Thread(target=evict), threading.Thread(target=read_stats)]
+        for thread in servers + observers:
+            thread.start()
+        for thread in servers:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        for thread in observers:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+        node.close()
+    assert not any(thread.is_alive() for thread in servers + observers)
+    assert errors == []
+    assert sum(served) > 0
 
 
 def test_database_bound_below_one_is_rejected():

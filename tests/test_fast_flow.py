@@ -280,7 +280,7 @@ class TestSubstrateReuse:
         database = generators.random_labelled_graph(5, 12, "axbe", seed=2)
         shared = resilience_many(["ax*b", "ax*b|ax*e", "ax*b"], database)
 
-        index = database.unit_bag().index()
+        index = database.index()
         substrate = product_substrate(index)
         assert len(index.substrates) == 1
         # Three flow queries, two distinct classes: the substrate was built
@@ -312,7 +312,7 @@ class TestSubstrateReuse:
         automaton = read_once.read_once_automaton(language)
         for seed in range(5):
             database = generators.random_labelled_graph(6, 14, "axbz", seed=seed)
-            bag = database.unit_bag()
+            bag = database.to_bag(1)
             graph = compile_product_graph(automaton, bag.index())
             compiled = min_cut_compiled(graph)
             reference = min_cut(build_product_network(automaton, bag))

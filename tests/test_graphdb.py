@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ReproError
-from repro.graphdb import BagGraphDatabase, Fact, GraphDatabase, as_bag, as_set
+from repro.graphdb import BagGraphDatabase, Fact, GraphDatabase, as_set
 
 
 class TestGraphDatabase:
@@ -80,6 +80,9 @@ class TestBagGraphDatabase:
     def test_rejects_non_integer(self):
         with pytest.raises(ReproError):
             BagGraphDatabase({("u", "a", "v"): 1.5})
+        # True equals 1 but would fingerprint apart from the equal unit bag.
+        with pytest.raises(ReproError):
+            BagGraphDatabase({("u", "a", "v"): True})
 
     def test_uniform_from_set_database(self):
         database = GraphDatabase.from_edges([("u", "a", "v")])
@@ -94,12 +97,10 @@ class TestBagGraphDatabase:
         bag = BagGraphDatabase.from_edges([("u", "a", "v", 3)])
         assert bag.reverse().multiplicity(("v", "a", "u")) == 3
 
-    def test_as_bag_and_as_set(self):
+    def test_as_set(self):
         database = GraphDatabase.from_edges([("u", "a", "v")])
-        bag = as_bag(database)
-        assert bag.multiplicity(("u", "a", "v")) == 1
+        bag = database.to_bag(1)
         assert as_set(bag) == database
-        assert as_bag(bag) is bag
         assert as_set(database) is database
 
 

@@ -181,7 +181,7 @@ class TestMetamorphicRelations:
         database = planted_database(LANGUAGES[query], seed, walks, pool)
         for language in (LANGUAGES[query], MIRRORS[query]):
             assert res(language, database, stored_plans) == res(
-                language, database.unit_bag(), stored_plans
+                language, database.to_bag(1), stored_plans
             )
 
     @SETTINGS

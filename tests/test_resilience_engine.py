@@ -3,8 +3,9 @@
 import pytest
 
 from repro.exceptions import ReproError
-from repro.graphdb import GraphDatabase, generators
+from repro.graphdb import DatabaseIndex, GraphDatabase, generators
 from repro.languages import Language
+from repro.languages.examples import FIGURE_1_LANGUAGES, PTIME
 from repro.resilience import (
     choose_method,
     resilience,
@@ -12,7 +13,23 @@ from repro.resilience import (
     resilience_many,
     verify_contingency_set,
 )
+from repro.resilience.engine import warm_database
 from repro.rpq import RPQ
+
+#: The nine PTIME Figure 1 queries and one exact query, with their value and
+#: contingency set on the set database of :class:`TestOneIndexPerDatabase`.
+ONE_INDEX_OUTCOMES = {
+    "abc|abd": (3, "n1-a->n6 n2-d->n1 n3-b->n4"),
+    "ab|ad|cd": (9, "n1-a->n5 n1-a->n6 n1-d->n7 n2-a->n7 n3-a->n4 n3-b->n4 n3-d->n4 n6-a->n2 n7-a->n0"),
+    "ax*b": (4, "n1-a->n6 n2-a->n7 n3-b->n4 n7-a->n0"),
+    "ab|bc": (4, "n2-a->n7 n3-b->n4 n6-b->n7 n7-a->n0"),
+    "axb|byc": (1, "n7-a->n0"),
+    "ax*b|xd": (10, "n0-x->n3 n0-x->n7 n1-a->n6 n1-x->n1 n2-a->n7 n2-d->n1 n3-b->n4 n5-d->n1 n5-x->n4 n7-a->n0"),
+    "abc|be": (3, "n1-a->n6 n2-e->n7 n3-b->n4"),
+    "abcd|ce": (2, "n0-c->n6 n7-c->n3"),
+    "abcd|be": (3, "n1-a->n6 n2-e->n7 n3-b->n4"),
+    "aa": (5, "n3-a->n1 n3-a->n4 n4-a->n1 n6-a->n2 n7-a->n0"),
+}
 
 
 class TestMethodSelection:
@@ -109,6 +126,40 @@ class TestDispatch:
         result = resilience(language, database)
         assert result.query == "ab|bc"
         assert language.infix_free().name == original_name
+
+
+class TestOneIndexPerDatabase:
+    """A set database is the bag with unit multiplicities, so warming it and
+    answering every method read the database's own index, built once.  Fact
+    ids and the exact search tree follow ``repr`` order, never hash order
+    (CI runs this class under two hash seeds against the pinned outcomes)."""
+
+    @pytest.mark.parametrize("multiplicity", [None, 1, 3])
+    def test_warming_and_answering_build_one_index(self, monkeypatch, multiplicity):
+        ptime = [example.regex for example in FIGURE_1_LANGUAGES if example.complexity == PTIME]
+        assert list(ONE_INDEX_OUTCOMES) == ptime + ["aa"]
+        database = generators.random_labelled_graph(8, 40, "abcdex", seed=23, allow_self_loops=True)
+        if multiplicity is not None:
+            database = database.to_bag(multiplicity)
+        built = []
+        original = DatabaseIndex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DatabaseIndex, "__init__", counting)
+        warm_database(database)
+        results = {query: resilience(query, database) for query in ONE_INDEX_OUTCOMES}
+        monkeypatch.undo()
+
+        assert built == [database.index()]
+        scale = multiplicity or 1
+        assert {
+            query: (result.value, " ".join(sorted(map(str, result.contingency_set))))
+            for query, result in results.items()
+        } == {query: (scale * value, facts) for query, (value, facts) in ONE_INDEX_OUTCOMES.items()}
+        assert results["aa"].details["nodes_explored"] == 71
 
 
 class TestVerifyContingencySet:

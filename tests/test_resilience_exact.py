@@ -103,6 +103,11 @@ class TestBagSemantics:
             fast = resilience_exact(Language.from_regex("ab|ba"), bag)
             slow = resilience_brute_force(Language.from_regex("ab|ba"), bag)
             assert fast.value == slow.value, seed
+        # Forced set reporting names the output only: the cheapest
+        # contingency set of this bag is not its smallest.
+        bag = BagGraphDatabase.from_edges([("s", "a", "m", 5), ("m", "b", "t1", 1), ("m", "b", "t2", 1)])
+        slow = resilience_brute_force(Language.from_regex("ab"), bag, semantics="set")
+        assert slow.value == resilience_exact(Language.from_regex("ab"), bag).value == 2
 
     def test_mirror_invariance(self):
         # Proposition 6.3: resilience of L^R on D^R equals resilience of L on D.

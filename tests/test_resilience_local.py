@@ -3,8 +3,10 @@
 import pytest
 
 from repro.exceptions import NotLocalError
-from repro.graphdb import BagGraphDatabase, GraphDatabase, generators
+from repro.flow.mincut import min_cut
+from repro.graphdb import BagGraphDatabase, Fact, GraphDatabase, generators
 from repro.languages import Language
+from repro.languages.local import local_overapproximation
 from repro.resilience import (
     resilience_exact,
     resilience_local,
@@ -12,6 +14,8 @@ from repro.resilience import (
 )
 from repro.resilience.local_flow import build_product_network, resilience_local_via_profile
 from repro.languages import read_once
+
+SET_CASES = ["ax*b", "ab|ad|cd", "abc|abd", "a|b", "axb|axc"]
 
 
 class TestProductNetwork:
@@ -34,7 +38,7 @@ class TestProductNetwork:
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("expression", ["ax*b", "ab|ad|cd", "abc|abd", "a|b", "axb|axc"])
+    @pytest.mark.parametrize("expression", SET_CASES)
     def test_agrees_with_exact_on_random_set_databases(self, expression):
         language = Language.from_regex(expression)
         alphabet = "".join(sorted(language.alphabet))
@@ -97,6 +101,32 @@ class TestCorrectness:
                 resilience_local(language, database).value
                 == resilience_local_via_profile(language, database).value
             )
+
+    def test_profile_variant_matches_the_object_network(self):
+        # The variant compiles over the database's own index; the object
+        # network of the same RO automaton is its reference, on the set and
+        # bag databases of the tests above.
+        cases = [
+            (expression, generators.random_labelled_graph(5, 10, "".join(sorted(alphabet)), seed=seed))
+            for expression in SET_CASES
+            for alphabet in [Language.from_regex(expression).alphabet]
+            for seed in range(5)
+        ]
+        cases += [
+            ("ab|ad|cd", generators.random_bag_database(5, 10, "abcd", seed=seed, max_multiplicity=6))
+            for seed in range(5)
+        ]
+        cases.append(("ax*b", generators.layered_flow_database(3, 3, seed=4)))
+        for expression, database in cases:
+            language = Language.from_regex(expression)
+            automaton = read_once.local_dfa_to_read_once(local_overapproximation(language))
+            reference = min_cut(build_product_network(automaton, database))
+            result = resilience_local_via_profile(language, database)
+            assert result.method == "local-flow-profile"
+            assert result.value == reference.value, (expression, database)
+            assert result.contingency_set == frozenset(
+                key for key in reference.cut_keys if isinstance(key, Fact)
+            ), (expression, database)
 
     def test_if_of_language_used_transparently(self):
         # L0 = a | aa: IF(L0) = a is local; the engine handles this (Section 3.2).

@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import NotApplicableError
 from repro.flow.substrate import product_substrate
 from repro.graphdb import BagGraphDatabase, GraphDatabase, generators
-from repro.graphdb.database import as_bag
 from repro.graphdb.index import DatabaseIndex
 from repro.languages import Language
 from repro.resilience import (
@@ -101,7 +100,7 @@ class TestCompiledOverTheSharedIndex:
         database = generators.random_labelled_graph(6, 18, "abce", seed=4)
         if semantics == "bag":
             database = database.to_bag(2)
-        index = as_bag(database).index()  # the shared bag view, built once
+        index = database.index()  # the database's one index, built once
 
         built = []
         for cls in (GraphDatabase, BagGraphDatabase, DatabaseIndex):

@@ -45,16 +45,19 @@ python -m pytest -x -q
 # serving one reads them), and canonicalization numbers NFA states in
 # frozenset order internally: fixed hash seeds make this check reproducible.
 # The one-dangling compile and map-back iterate dicts built from the index,
-# generated bags must be one bag per seed, and a graph recompiled after an
-# eviction must equal the evicted one: hash order must reach none of them.
-echo "ci: regex compilation, canonical fingerprints, one-dangling, generated bags and graph eviction under PYTHONHASHSEED=0 and 123"
+# generated bags must be one bag per seed, a graph recompiled after an
+# eviction must equal the evicted one, and fact ids and the exact search tree
+# over a database's one index must match the pinned outcomes: hash order must
+# reach none of them.
+echo "ci: regex compilation, canonical fingerprints, one-dangling, generated bags, graph eviction and the one index per database under PYTHONHASHSEED=0 and 123"
 for seed in 0 123; do
   PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
     tests/test_automaton_kernel.py -k "TestPinnedFingerprints or TestOnePassCompilation or TestCanonicalTables"
   PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
     tests/test_resilience_one_dangling.py \
     tests/test_graphdb.py::TestGenerators::test_random_bag_database_is_one_bag_under_every_hash_seed \
-    tests/test_cache_bounds.py::TestGraphCache::test_evicting_every_graph_never_changes_an_outcome
+    tests/test_cache_bounds.py::TestGraphCache::test_evicting_every_graph_never_changes_an_outcome \
+    tests/test_resilience_engine.py::TestOneIndexPerDatabase
 done
 
 echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
