@@ -94,7 +94,7 @@ class ConcurrencyChecker(Checker):
         ),
     }
 
-    _UNLOCKED_WRITE_SCOPE = ("repro/service/",)
+    _UNLOCKED_WRITE_SCOPE = ("repro/service/", "repro/metrics.py")
 
     # ------------------------------------------------------- blocking-in-async
 

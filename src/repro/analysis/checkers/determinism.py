@@ -31,6 +31,7 @@ DETERMINISTIC_SCOPE = (
     "repro/classify/",
     "repro/hardness/",
     "repro/rpq/",
+    "repro/metrics.py",
     # The traffic generator must be bit-replayable from its seed; the soak
     # runner around it is intentionally out of scope (it measures wall time).
     "repro/traffic/generator",

@@ -52,7 +52,7 @@ class IpcChecker(Checker):
         ),
     }
 
-    _DISPATCH_SCOPE = ("repro/service/",)
+    _DISPATCH_SCOPE = ("repro/service/", "repro/metrics.py")
     _PICKLED_SCOPE = ("repro/graphdb/", "repro/languages/")
 
     def visit_Call(self, node: ast.Call, module: ModuleContext) -> None:

@@ -12,7 +12,7 @@ import os
 import sys
 
 from .baseline import BaselineResult, apply_baseline, load_baseline, write_baseline
-from .checkers import checkers_for_rules, default_checkers, rule_catalogue
+from .checkers import checkers_for_rules, rule_catalogue
 from .core import Finding, analyze_source
 from .report import render_human, render_json
 
@@ -57,8 +57,8 @@ def analyze_paths(
         with open(file_path, encoding="utf-8") as handle:
             source = handle.read()
         if rules is None:
-            checkers = default_checkers()
-            per_file = analyze_source(source, file_path, checkers)
+            # The full registry: unused pragmas are reported too.
+            per_file = analyze_source(source, file_path)
         else:
             checkers = checkers_for_rules(rules)
             per_file = analyze_source(

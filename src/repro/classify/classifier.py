@@ -19,12 +19,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..exceptions import GadgetError, GadgetNotAvailableError
-from ..languages import chain, dangling, four_legged, local, neutral, star_free
+from ..languages import dangling, four_legged, neutral, star_free
 from ..languages.core import Language
 from ..languages.examples import NP_HARD, PTIME, UNCLASSIFIED
+from ..resilience.engine import choose_method
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..resilience.engine import LanguageCache
+
+#: The dispatcher's polynomial methods, with the reason and Figure 1 region of each.
+_TRACTABLE = {
+    "trivial-epsilon": ("epsilon is in the language, resilience is trivially infinite", "trivial"),
+    "local-flow": ("IF(L) is local (Theorem 3.13)", "local (Thm 3.13)"),
+    "bcl-flow": ("IF(L) is a bipartite chain language (Proposition 7.6)", "bipartite chain (Prp 7.6)"),
+    "one-dangling-flow": ("IF(L) is a one-dangling language (Proposition 7.9)", "one-dangling (Prp 7.9)"),
+}
 
 _EXPLICITLY_HARD = {
     "ab|bc|ca": "Proposition 7.4",
@@ -79,37 +88,24 @@ def classify(
     """
     if cache is not None:
         language = cache.language(language)
-    # Epsilon short-circuit first, mirroring the engine's dispatch order: a
-    # trivial language must not pay for the (expensive) infix-free computation.
-    if language.contains(""):
-        return Classification(
-            language, PTIME, "epsilon is in the language, resilience is trivially infinite",
-            "trivial", algorithm="trivial-epsilon",
-        )
+    # A trivial language must not pay for the (expensive) infix-free
+    # computation.  ``infix_free()`` is memoized on the language instance and
+    # shared with the dispatcher, so re-label through a copy — the seed
+    # assigned ``infix_free.name`` in place, which would corrupt the shared
+    # cache.
+    infix_free = (
+        None if language.contains("") else language.infix_free().relabelled(language.name)
+    )
 
-    # ``infix_free()`` is memoized on the language instance and shared with the
-    # dispatcher, so re-label through a copy — the seed assigned
-    # ``infix_free.name`` in place, which would corrupt the shared cache.
-    infix_free = language.infix_free().relabelled(language.name)
-
-    # ---------------- tractable classes ----------------
-    if local.is_local(infix_free):
-        return Classification(
-            language, PTIME, "IF(L) is local (Theorem 3.13)", "local (Thm 3.13)",
-            algorithm="local-flow",
-        )
-    if chain.is_bipartite_chain_language(infix_free):
-        return Classification(
-            language, PTIME, "IF(L) is a bipartite chain language (Proposition 7.6)",
-            "bipartite chain (Prp 7.6)", algorithm="bcl-flow",
-        )
-    decomposition = dangling.one_dangling_decomposition(infix_free)
-    if decomposition is not None:
-        return Classification(
-            language, PTIME, "IF(L) is a one-dangling language (Proposition 7.9)",
-            "one-dangling (Prp 7.9)", algorithm="one-dangling-flow",
-            evidence={"dangling_word": decomposition.dangling_word},
-        )
+    # ---------------- tractable classes: the dispatcher's decision ----------------
+    method = choose_method(language, infix_free=infix_free)
+    if method in _TRACTABLE:
+        evidence = {}
+        if method == "one-dangling-flow":
+            decomposition = dangling.one_dangling_decomposition(infix_free)
+            evidence["dangling_word"] = decomposition.dangling_word
+        reason, region = _TRACTABLE[method]
+        return Classification(language, PTIME, reason, region, algorithm=method, evidence=evidence)
 
     # ---------------- hardness classes ----------------
     def with_certificate(result: Classification) -> Classification:

@@ -1,9 +1,9 @@
 """Resilience algorithms: the exact baseline, the three flow reductions of the
 paper (local, bipartite chain, one-dangling), and the dispatching engine."""
 
+from ..metrics import CacheStats
 from .bcl_flow import resilience_bcl
 from .engine import (
-    CacheStats,
     LanguageCache,
     QueryPlan,
     choose_method,

@@ -30,7 +30,7 @@ parallel serving with per-query budgets and structured outcomes, see
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
@@ -38,6 +38,7 @@ from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..languages import chain, dangling, local, read_once
 from ..languages.core import Language
 from ..lru import BoundedLru
+from ..metrics import CacheStats
 from ..rpq.query import RPQ
 from .bcl_flow import resilience_bcl
 from .exact import resilience_exact
@@ -168,77 +169,6 @@ def warm_database(database: GraphDatabase | BagGraphDatabase) -> None:
     database.index()
 
 
-@dataclass
-class CacheStats:
-    """Observability counters of one :class:`LanguageCache`.
-
-    Attributes:
-        canonical_hits: queries resolved to an already-analysed equivalent
-            language via the canonical-fingerprint layer.
-        canonical_misses: queries that became the representative of a new
-            equivalence class.
-        classifications: how many query plans were actually built — the
-            acceptance observable: equivalent queries share one plan.
-        result_hits: queries answered from the result-level cache — an
-            identical ``(query class, database, semantics, method)`` tuple was
-            already computed (this session, or by any process sharing a
-            :class:`~repro.resilience.store.ResultStore`), so the memoized
-            :class:`~repro.resilience.result.ResilienceResult` is returned
-            without touching the engine (or, in the serving layer, the worker
-            pool).
-        result_misses: *cacheable* computations the result layer could not
-            serve — counted at completion time (:meth:`LanguageCache.store_result`),
-            so the hit rate ``hits / (hits + misses)`` reflects cacheable
-            traffic only.
-        result_uncacheable: completions the result layer can never serve or
-            memoize — error and budget-exceeded outcomes.  Counted separately
-            so error-heavy chaos traffic cannot skew the hit rate.
-        evictions: entries dropped by the ``max_entries`` bound (all layers).
-        entries: **gauge** — entries currently held across the cache's maps
-            (expression, canonical class and result layers, plus the plan
-            memo when the canonical layer is off).
-        bytes_estimate: **gauge** — rough in-memory footprint of the held
-            languages and results (automaton- and contingency-set-sized
-            estimates, not exact byte counts).
-    """
-
-    canonical_hits: int = 0
-    canonical_misses: int = 0
-    classifications: int = 0
-    result_hits: int = 0
-    result_misses: int = 0
-    result_uncacheable: int = 0
-    evictions: int = 0
-    entries: int = 0
-    bytes_estimate: int = 0
-
-    #: Fields that are point-in-time gauges, not monotone counters — the
-    #: Prometheus exposition must not render these with a ``_total`` suffix.
-    GAUGE_FIELDS = ("entries", "bytes_estimate")
-
-    def snapshot(self) -> "CacheStats":
-        """A frozen-in-time copy (the live object keeps counting)."""
-        return replace(self)
-
-    def as_dict(self) -> dict[str, int]:
-        """The counters as a plain dict — the metrics-surface serialization."""
-        return asdict(self)
-
-    @classmethod
-    def aggregate(cls, parts: "Iterable[CacheStats]") -> "CacheStats":
-        """Sum several caches' counters into one roll-up.
-
-        The aggregation hook of the serving layer's metrics surface: a front
-        end multiplexing workloads over several session caches reports one
-        combined :class:`CacheStats` without reaching into cache internals.
-        """
-        total = cls()
-        for part in parts:
-            for field in fields(cls):
-                setattr(total, field.name, getattr(total, field.name) + getattr(part, field.name))
-        return total
-
-
 def _estimate_language_bytes(language: Language) -> int:
     """Rough footprint of a held language: automaton-sized, never exact."""
     automaton = language.automaton
@@ -330,7 +260,7 @@ class LanguageCache:
         self._canonical = canonical
         self._store = store
         self._result_store = result_store
-        self.stats = CacheStats()
+        self._counters = CacheStats()
 
         def bounded(sizer: "Callable[[object], int]") -> BoundedLru:
             return BoundedLru(max_entries=max_entries, sizer=sizer)
@@ -354,11 +284,17 @@ class LanguageCache:
     def result_store(self) -> "ResultStore | None":
         return self._result_store
 
-    def _refresh_gauges(self) -> None:
+    @property
+    def stats(self) -> CacheStats:
+        """A snapshot of the counters; ``evictions``, ``entries`` and
+        ``bytes_estimate`` are read off the four maps by this call."""
         maps = (self._by_expression, self._classes, self._plans, self._results)
-        self.stats.entries = sum(len(m) for m in maps)
-        self.stats.bytes_estimate = sum(m.size for m in maps)
-        self.stats.evictions = sum(m.evictions for m in maps)
+        return replace(
+            self._counters,
+            evictions=sum(m.evictions for m in maps),
+            entries=sum(len(m) for m in maps),
+            bytes_estimate=sum(m.size for m in maps),
+        )
 
     def language(self, query: Language | RPQ | str) -> Language:
         """Return the (shared) :class:`Language` for a query.
@@ -372,10 +308,8 @@ class LanguageCache:
             if cached is None:
                 cached = self._resolve_canonical(Language.from_regex(query))
                 self._by_expression.set(query, cached)
-                self._refresh_gauges()
             return cached
         resolved = self._resolve_canonical(_as_language(query))
-        self._refresh_gauges()
         return resolved
 
     def _resolve_canonical(self, language: Language) -> Language:
@@ -393,14 +327,14 @@ class LanguageCache:
         cached = self._classes.get(fingerprint)
         if cached is None:
             cached = _CanonicalClass(language)
-            self.stats.canonical_misses += 1
+            self._counters.canonical_misses += 1
             if self._store is not None:
                 cached.plan = self._store.get(fingerprint)
                 if cached.plan is not None and language._infix_free is None:
                     language._infix_free = cached.plan.infix_free
             self._classes.set(fingerprint, cached)
             return language
-        self.stats.canonical_hits += 1
+        self._counters.canonical_hits += 1
         if cached.language is language:
             return language
         return cached.language.relabelled(language.name)
@@ -416,16 +350,15 @@ class LanguageCache:
             key = id(language)  # repro: allow[det-id] -- identity memo key per live instance; never ordered, never emitted
             cached = self._plans.get(key)
             if cached is None:
-                self.stats.classifications += 1
+                self._counters.classifications += 1
                 cached = (language, plan_query(language))
                 self._plans.set(key, cached)
-                self._refresh_gauges()
             return cached[1]
         fingerprint = language.fingerprint()
         entry = self._classes.get(fingerprint)
         if entry is not None and entry.plan is not None:
             return entry.plan
-        self.stats.classifications += 1
+        self._counters.classifications += 1
         # Plan the representative, not a relabelled copy: the infix-free
         # sublanguage ``plan_query`` memoizes must land on the instance every
         # later equivalent query will share.  (A bounded cache may have
@@ -439,7 +372,6 @@ class LanguageCache:
             entry.plan = plan
         else:
             self._classes.set(fingerprint, _CanonicalClass(language, plan))
-            self._refresh_gauges()
         if self._store is not None:
             self._store.put(fingerprint, plan)
         return plan
@@ -520,13 +452,12 @@ class LanguageCache:
             cached = self._result_store.get(key)
             if cached is not None:
                 self._results.set(key, cached)
-        self._refresh_gauges()
         if cached is None:
             # Not counted as a miss here: misses are counted at completion
             # time (:meth:`store_result`), so a lookup for a computation that
             # ends up failing never skews the cacheable hit rate.
             return None
-        self.stats.result_hits += 1
+        self._counters.result_hits += 1
         return cached.with_query(language.name or "")
 
     def store_result(
@@ -556,10 +487,9 @@ class LanguageCache:
         )
         if key is None:
             return
-        self.stats.result_misses += 1
+        self._counters.result_misses += 1
         if self._results.setdefault(key, result) is result and self._result_store is not None:
             self._result_store.put(key, result)
-        self._refresh_gauges()
 
     def note_uncacheable_result(self) -> None:
         """Count a completion the result layer can never serve or memoize.
@@ -572,7 +502,7 @@ class LanguageCache:
         hit/miss counters it complements.
         """
         if self._canonical:
-            self.stats.result_uncacheable += 1
+            self._counters.result_uncacheable += 1
 
     def __len__(self) -> int:
         return len(self._by_expression)

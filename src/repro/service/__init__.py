@@ -43,9 +43,8 @@ a serving subsystem for query fleets:
   (priority classes, FIFO within class, bounded depth with structured
   ``admission-rejected`` outcomes, end-to-end deadlines with cooperative
   mid-execution cancellation, weighted per-workload round shares) and
-  exposes the runtime as a
-  :class:`~repro.service.async_server.ServerMetrics` snapshot — scrapeable
-  as JSON or Prometheus text via
+  exposes the runtime as a :class:`~repro.metrics.ServerMetrics` snapshot —
+  scrapeable as JSON or Prometheus text via
   :meth:`~repro.service.async_server.AsyncResilienceServer.metrics_endpoint`.
 
 Budget semantics
@@ -89,14 +88,17 @@ Quickstart::
         print(outcome.query, outcome.status, outcome.result)
 """
 
-from .async_server import (
+from ..metrics import (
     AdmissionStats,
-    AsyncResilienceServer,
+    CacheStats,
     LatencyHistogram,
     MetricsEndpoint,
+    NodeStats,
+    PoolStats,
     ServerMetrics,
 )
-from .cache import AnalysisStore, CacheStats, LanguageCache, ResultStore, StoreStats
+from .async_server import AsyncResilienceServer
+from .cache import AnalysisStore, LanguageCache, ResultStore, StoreStats
 from .cancellation import CancellationToken
 from .exchange import (
     CircuitBreaker,
@@ -105,7 +107,6 @@ from .exchange import (
     HealthMonitor,
     HttpExchange,
     NodeManager,
-    NodeStats,
     RetryPolicy,
     Router,
     ThreadExchange,
@@ -114,7 +115,7 @@ from .exchange import (
 from .outcome import ADMISSION_REJECTED, BUDGET_EXCEEDED, ERROR, OK, QueryOutcome
 from .scheduler import ScheduledQuery, plan_workload
 from .serve import resilience_serve
-from .server import PoolStats, ResilienceServer
+from .server import ResilienceServer
 from .workload import QuerySpec, Workload
 
 __all__ = [

@@ -18,11 +18,12 @@ behind an ``asyncio`` API:
   ``loop.call_soon_threadsafe``) as they complete;
 * :meth:`~AsyncResilienceServer.metrics` snapshots the whole runtime —
   fleet-aggregated cache counters and pool state, per-node
-  :class:`~repro.service.exchange.base.NodeStats`, admission counters,
-  per-status latency histograms — as a :class:`ServerMetrics`, and
+  :class:`~repro.metrics.NodeStats`, admission counters, per-status latency
+  histograms — as a :class:`~repro.metrics.ServerMetrics`, and
   :meth:`~AsyncResilienceServer.metrics_endpoint` serves that snapshot as
   JSON (or Prometheus text exposition, content-negotiated) over a tiny
-  stdlib HTTP endpoint for ops tooling to scrape.
+  stdlib HTTP endpoint for ops tooling to scrape.  The snapshot types, their
+  wire formats and the endpoint live in :mod:`repro.metrics`.
 
 Admission semantics
 -------------------
@@ -75,32 +76,21 @@ later workloads are unaffected — pinned by the abandonment regression tests.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
-from bisect import bisect_left
 from collections import deque
 from collections.abc import AsyncIterator, Iterable, Mapping
-from dataclasses import dataclass, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import replace
 
 from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
-from ..resilience.engine import CacheStats
+from ..metrics import AdmissionStats, LatencyHistogram, MetricsEndpoint, ServerMetrics
 from .cancellation import CancellationToken
-from .exchange.base import EnvelopePart, Exchange, NodeStats, WorkloadEnvelope
+from .exchange.base import EnvelopePart, Exchange, WorkloadEnvelope
 from .outcome import ADMISSION_REJECTED, ERROR, QueryOutcome
-from .server import PoolStats
 from .workload import QueryLike, QuerySpec, Workload
 
 AnyDatabase = GraphDatabase | BagGraphDatabase
-
-#: Upper bucket bounds (seconds) of the latency histograms; the implicit last
-#: bucket is +inf.  Roughly log-spaced from 1 ms to 10 s — per-query serving
-#: cost spans flow lookups (sub-ms, cache hits) to exact searches (seconds).
-LATENCY_BUCKET_BOUNDS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 #: End-of-stream sentinel on a workload's outcome queue.
 _DONE = object()
@@ -118,330 +108,6 @@ def _synthetic_outcomes(
         QueryOutcome.unserved(index, specs[index], status, reason, method=specs[index].method)
         for index in range(start, len(specs))
     ]
-
-
-class LatencyHistogram:
-    """A fixed-bucket latency histogram (submit-to-delivery, seconds).
-
-    Mutable and cheap to record into; :meth:`as_dict` snapshots it for the
-    metrics surface.  Buckets are *non-cumulative* counts per
-    :data:`LATENCY_BUCKET_BOUNDS` band (the last band is everything above the
-    largest bound).
-    """
-
-    __slots__ = ("counts", "count", "sum_seconds")
-
-    def __init__(self) -> None:
-        self.counts = [0] * (len(LATENCY_BUCKET_BOUNDS) + 1)
-        self.count = 0
-        self.sum_seconds = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.counts[bisect_left(LATENCY_BUCKET_BOUNDS, seconds)] += 1
-        self.count += 1
-        self.sum_seconds += seconds
-
-    def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q``-quantile (0 for an empty histogram).
-
-        Returns the upper bucket bound containing the quantile rank — a
-        conservative (never underestimating) histogram quantile; the overflow
-        bucket reports the largest finite bound.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1] (got {q})")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket in enumerate(self.counts):
-            seen += bucket
-            if seen >= rank and bucket:
-                return LATENCY_BUCKET_BOUNDS[min(index, len(LATENCY_BUCKET_BOUNDS) - 1)]
-        return LATENCY_BUCKET_BOUNDS[-1]
-
-    def as_dict(self) -> dict:
-        buckets = {str(bound): count for bound, count in zip(LATENCY_BUCKET_BOUNDS, self.counts)}
-        buckets["inf"] = self.counts[-1]
-        return {"buckets": buckets, "count": self.count, "sum_seconds": self.sum_seconds}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LatencyHistogram":
-        """Rebuild a histogram from an :meth:`as_dict` snapshot (round-trip
-        exact), so consumers of a :class:`ServerMetrics` snapshot can compute
-        quantiles without reaching into the live server."""
-        histogram = cls()
-        buckets = payload["buckets"]
-        for index, bound in enumerate(LATENCY_BUCKET_BOUNDS):
-            histogram.counts[index] = int(buckets.get(str(bound), 0))
-        histogram.counts[-1] = int(buckets.get("inf", 0))
-        histogram.count = int(payload["count"])
-        histogram.sum_seconds = float(payload["sum_seconds"])
-        return histogram
-
-
-@dataclass(frozen=True)
-class AdmissionStats:
-    """A snapshot of the admission queue's counters.
-
-    ``queued`` is instantaneous (waiting workloads per priority class right
-    now); ``admitted`` and ``rejected`` are cumulative per class over the
-    server's lifetime.  ``rejected`` counts both depth-bound refusals and
-    deadline expiries; ``deadline_expired`` separates out the latter.
-    ``in_flight`` is the number of workloads in the round being served this
-    instant.
-    """
-
-    queued: dict[int, int]
-    admitted: dict[int, int]
-    rejected: dict[int, int]
-    deadline_expired: int
-    depth: int
-    in_flight: int
-
-    def as_dict(self) -> dict:
-        def keyed(counter: dict[int, int]) -> dict[str, int]:
-            return {str(priority): count for priority, count in sorted(counter.items())}
-
-        return {
-            "queued": keyed(self.queued),
-            "admitted": keyed(self.admitted),
-            "rejected": keyed(self.rejected),
-            "deadline_expired": self.deadline_expired,
-            "depth": self.depth,
-            "in_flight": self.in_flight,
-        }
-
-
-@dataclass(frozen=True)
-class ServerMetrics:
-    """One coherent snapshot of an :class:`AsyncResilienceServer`'s state.
-
-    Aggregates the full serving runtime: fleet-wide
-    :class:`~repro.resilience.engine.CacheStats` and
-    :class:`~repro.service.server.PoolStats` roll-ups (via their
-    ``aggregate`` hooks — over a single node the roll-up equals the node's
-    own counters), the per-node
-    :class:`~repro.service.exchange.base.NodeStats` snapshots behind them,
-    the admission queue's :class:`AdmissionStats`, and per-outcome-status
-    latency histograms (submit-to-delivery seconds).  :meth:`to_json` is the
-    JSON wire format the metrics endpoint serves, :meth:`to_prometheus` the
-    text exposition — scraping and the programmatic snapshot agree by
-    construction (pinned in CI).
-    """
-
-    cache: CacheStats
-    pool: PoolStats
-    admission: AdmissionStats
-    latency: dict[str, dict]
-    nodes: tuple[NodeStats, ...] = ()
-    #: Envelope parts the exchange answered via its in-process serial
-    #: fallback after exhausting failover (see ``RoutedExchange``).
-    degraded_serves: int = 0
-
-    def outcome_counts(self) -> dict[str, int]:
-        """Delivered outcomes per status (derived from the latency histograms)."""
-        return {status: histogram["count"] for status, histogram in self.latency.items()}
-
-    def latency_quantiles(
-        self, qs: tuple[float, ...] = (0.5, 0.99), *, scale: float = 1.0
-    ) -> dict[str, dict]:
-        """Conservative latency quantiles per outcome status.
-
-        Returns ``{status: {"p50": ..., "p99": ..., "count": n}}`` (keys
-        follow ``qs``) computed from the snapshot's histograms via
-        :meth:`LatencyHistogram.quantile`, so every value is an upper bucket
-        bound — never an underestimate.  ``scale`` multiplies the quantile
-        values (``1e3`` for milliseconds); counts are unscaled.
-        """
-        summary: dict[str, dict] = {}
-        for status, payload in sorted(self.latency.items()):
-            histogram = LatencyHistogram.from_dict(payload)
-            entry: dict[str, float | int] = {
-                f"p{q * 100:g}": histogram.quantile(q) * scale for q in qs
-            }
-            entry["count"] = histogram.count
-            summary[status] = entry
-        return summary
-
-    def as_dict(self) -> dict:
-        return {
-            "cache": self.cache.as_dict(),
-            "pool": self.pool.as_dict(),
-            "admission": self.admission.as_dict(),
-            "latency": self.latency,
-            "outcomes": self.outcome_counts(),
-            "nodes": {snapshot.node_id: snapshot.as_dict() for snapshot in self.nodes},
-            "degraded_serves": self.degraded_serves,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition (format version 0.0.4) of the snapshot.
-
-        Fleet roll-ups are unlabelled; per-node series carry a ``node`` label;
-        latency renders as native histograms (cumulative ``le`` buckets) with
-        a ``status`` label per outcome status.
-        """
-        lines: list[str] = []
-
-        def escape(value: str) -> str:
-            return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
-
-        def emit(name: str, kind: str, help_text: str, samples) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, value in samples:
-                rendered = ""
-                if labels:
-                    inner = ",".join(f'{key}="{escape(str(val))}"' for key, val in labels.items())
-                    rendered = "{" + inner + "}"
-                lines.append(f"{name}{rendered} {value}")
-
-        def per_class(counter: dict[int, int]):
-            return [
-                ({"priority": priority}, count)
-                for priority, count in sorted(counter.items())
-            ]
-
-        admission = self.admission
-        emit("repro_admission_queued", "gauge",
-             "Waiting workloads per priority class.", per_class(admission.queued))
-        emit("repro_admission_admitted_total", "counter",
-             "Workloads admitted per priority class.", per_class(admission.admitted))
-        emit("repro_admission_rejected_total", "counter",
-             "Workloads rejected per priority class.", per_class(admission.rejected))
-        emit("repro_admission_deadline_expired_total", "counter",
-             "Workloads rejected because their deadline expired.",
-             [({}, admission.deadline_expired)])
-        emit("repro_admission_depth", "gauge",
-             "Waiting workloads right now.", [({}, admission.depth)])
-        emit("repro_admission_in_flight", "gauge",
-             "Workloads in the round being served right now.",
-             [({}, admission.in_flight)])
-        for name, value in sorted(self.cache.as_dict().items()):
-            if name in CacheStats.GAUGE_FIELDS:
-                # Point-in-time footprint gauges (entries, bytes_estimate):
-                # a ``_total`` suffix would mark them as monotone counters
-                # and break rate() queries the moment eviction shrinks them.
-                emit(f"repro_cache_{name}", "gauge",
-                     f"Fleet-wide language-cache gauge: {name}.", [({}, value)])
-            else:
-                emit(f"repro_cache_{name}_total", "counter",
-                     f"Fleet-wide language-cache counter: {name}.", [({}, value)])
-        pool = self.pool.as_dict()
-        for name, kind in (
-            ("pools_created", "counter"), ("chunks_dispatched", "counter"),
-            ("chunks_retried", "counter"), ("crashes", "counter"),
-            ("pool_width", "gauge"),
-        ):
-            emit(f"repro_pool_{name}" + ("_total" if kind == "counter" else ""), kind,
-                 f"Fleet-wide worker-pool counter: {name}.", [({}, pool[name])])
-        emit("repro_degraded_serves_total", "counter",
-             "Envelope parts served by the in-process serial fallback after "
-             "exhausted failover.", [({}, self.degraded_serves)])
-        emit("repro_node_alive", "gauge", "Whether the node is serving.",
-             [({"node": s.node_id}, int(s.alive)) for s in self.nodes])
-        emit("repro_node_databases", "gauge", "Databases held warm per node.",
-             [({"node": s.node_id}, s.databases) for s in self.nodes])
-        emit("repro_node_envelopes_served_total", "counter",
-             "Sub-workloads accepted per node.",
-             [({"node": s.node_id}, s.envelopes_served) for s in self.nodes])
-        emit("repro_node_pool_crashes_total", "counter",
-             "Worker crashes observed per node.",
-             [({"node": s.node_id}, s.pool.crashes) for s in self.nodes])
-        emit("repro_node_pool_chunks_dispatched_total", "counter",
-             "Chunks dispatched per node.",
-             [({"node": s.node_id}, s.pool.chunks_dispatched) for s in self.nodes])
-        emit("repro_node_cache_result_hits_total", "counter",
-             "Result-level cache hits per node (node-owned caches only).",
-             [({"node": s.node_id}, s.cache.result_hits) for s in self.nodes])
-        emit("repro_outcomes_total", "counter", "Outcomes delivered per status.",
-             [({"status": status}, count)
-              for status, count in sorted(self.outcome_counts().items())])
-        lines.append(
-            "# HELP repro_latency_seconds Submit-to-delivery latency per outcome status."
-        )
-        lines.append("# TYPE repro_latency_seconds histogram")
-        for status, histogram in sorted(self.latency.items()):
-            label = escape(status)
-            cumulative = 0
-            for bound in LATENCY_BUCKET_BOUNDS:
-                cumulative += histogram["buckets"][str(bound)]
-                lines.append(
-                    f'repro_latency_seconds_bucket{{status="{label}",le="{bound}"}} {cumulative}'
-                )
-            lines.append(
-                f'repro_latency_seconds_bucket{{status="{label}",le="+Inf"}} {histogram["count"]}'
-            )
-            lines.append(
-                f'repro_latency_seconds_sum{{status="{label}"}} {histogram["sum_seconds"]}'
-            )
-            lines.append(
-                f'repro_latency_seconds_count{{status="{label}"}} {histogram["count"]}'
-            )
-        return "\n".join(lines) + "\n"
-
-
-class MetricsEndpoint:
-    """A minimal stdlib HTTP endpoint serving a metrics snapshot.
-
-    ``GET /metrics`` (or ``/``) returns ``ServerMetrics.to_json()`` evaluated
-    at scrape time; other paths 404.  Prometheus scrapers get the text
-    exposition instead via content negotiation: ``?format=prometheus`` or an
-    ``Accept`` header asking for ``text/plain`` selects
-    ``ServerMetrics.to_prometheus()``.  Runs a daemonic
-    :class:`~http.server.ThreadingHTTPServer` bound to ``host:port`` —
-    ``port=0`` picks a free port, exposed as :attr:`port` / :attr:`url`.
-    """
-
-    def __init__(self, snapshot, *, host: str = "127.0.0.1", port: int = 0) -> None:
-        # repro: allow[ipc-local-class] -- request handler closing over this
-        # endpoint's snapshot; http.server instantiates it per connection in
-        # this process and it never crosses a pickle boundary
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                path, _, query = self.path.partition("?")
-                path = path.rstrip("/")
-                if path not in ("", "/metrics"):
-                    self.send_error(404)
-                    return
-                accept = self.headers.get("Accept", "")
-                prometheus = (
-                    "format=prometheus" in query.split("&") if query else False
-                ) or "text/plain" in accept
-                if prometheus:
-                    body = snapshot().to_prometheus().encode("utf-8")
-                    content_type = "text/plain; version=0.0.4; charset=utf-8"
-                else:
-                    body = snapshot().to_json().encode("utf-8")
-                    content_type = "application/json"
-                self.send_response(200)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # pragma: no cover - silence
-                pass
-
-        self._http = ThreadingHTTPServer((host, port), Handler)
-        self.host, self.port = self._http.server_address[0], self._http.server_address[1]
-        self._thread = threading.Thread(
-            target=self._http.serve_forever, name="resilience-metrics", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def close(self) -> None:
-        self._http.shutdown()
-        self._http.server_close()
-        self._thread.join()
 
 
 class _Admission:
@@ -1065,22 +731,7 @@ class AsyncResilienceServer:
                 status: histogram.as_dict()
                 for status, histogram in sorted(self._latency.items())
             }
-        nodes = self._exchange.stats()
-        # Per-node cache stats plus (exactly once) any fleet-shared cache the
-        # exchange owns — nodes serving from a shared cache report empty
-        # per-node CacheStats to keep this roll-up double-count-free.
-        cache_parts = [snapshot.cache for snapshot in nodes]
-        shared = self._exchange.shared_cache_stats()
-        if shared is not None:
-            cache_parts.append(shared)
-        return ServerMetrics(
-            cache=CacheStats.aggregate(cache_parts),
-            pool=PoolStats.aggregate([snapshot.pool for snapshot in nodes]),
-            admission=admission,
-            latency=latency,
-            nodes=nodes,
-            degraded_serves=self._exchange.degraded_serves,
-        )
+        return ServerMetrics.roll_up(self._exchange, admission, latency)
 
     def metrics_endpoint(self, port: int = 0, *, host: str = "127.0.0.1") -> MetricsEndpoint:
         """Serve :meth:`metrics` as JSON over HTTP for ops tooling to scrape.

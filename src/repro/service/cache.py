@@ -1,8 +1,8 @@
 """Session and cross-process caches of the serving layer.
 
 The implementations live next to the dispatcher whose analyses they memoize —
-:class:`repro.resilience.engine.LanguageCache` (with its
-:class:`~repro.resilience.engine.CacheStats`) and
+:class:`repro.resilience.engine.LanguageCache` (whose counters are a
+:class:`~repro.metrics.CacheStats`) and
 :class:`repro.resilience.store.AnalysisStore` — because the core engine uses
 them for :func:`~repro.resilience.engine.resilience_many` and cannot depend on
 this higher-level package.  This module re-exports them as part of the service
@@ -13,7 +13,8 @@ session string cache → canonical plan cache → on-disk plan store) and
 
 from __future__ import annotations
 
-from ..resilience.engine import CacheStats, LanguageCache
+from ..metrics import CacheStats
+from ..resilience.engine import LanguageCache
 from ..resilience.store import (
     AnalysisStore,
     ResultStore,

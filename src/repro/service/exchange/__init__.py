@@ -12,7 +12,8 @@ outcome-identical to the uncached serial reference by the conformance
 suite.
 """
 
-from .base import EnvelopePart, Exchange, Node, NodeStats, WorkloadEnvelope
+from ...metrics import NodeStats
+from .base import EnvelopePart, Exchange, Node, WorkloadEnvelope
 from .health import CircuitBreaker, HealthMonitor, RetryPolicy
 from .http import HttpExchange, HttpNode, HttpNodeLauncher, HttpNodeServer
 from .manager import NodeLauncher, NodeManager, ThreadNodeLauncher

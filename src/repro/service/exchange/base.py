@@ -13,8 +13,9 @@ the serving stack (front-end → **exchange** → nodes):
   against one of them (a :class:`~repro.service.exchange.nodes.ThreadNode`
   in-process, an :class:`~repro.service.exchange.http.HttpNode` over the
   wire).
-* :class:`NodeStats` — one node's observability snapshot, aggregated by the
-  front-end's :meth:`~repro.service.async_server.AsyncResilienceServer.metrics`.
+* :class:`~repro.metrics.NodeStats` — one node's observability snapshot,
+  rolled up by the front-end's
+  :meth:`~repro.service.async_server.AsyncResilienceServer.metrics`.
 * :class:`Exchange` — the contract the front-end codes against: submit an
   envelope, iterate outcomes (envelope-global indices, completion order),
   plus node registration/heartbeat for the routed implementations.
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ...exceptions import ReproError
 from ...graphdb.database import BagGraphDatabase, GraphDatabase
-from ...resilience.engine import CacheStats
+from ...metrics import CacheStats, NodeStats, PoolStats
 from ..outcome import QueryOutcome
-from ..server import CancelArg, PoolStats
+from ..server import CancelArg
 from ..workload import Workload
 
 AnyDatabase = GraphDatabase | BagGraphDatabase
@@ -88,56 +89,6 @@ class WorkloadEnvelope:
             offsets.append(total)
             total += len(part)
         return offsets
-
-
-@dataclass(frozen=True)
-class NodeStats:
-    """One node's observability snapshot (the per-node metrics unit).
-
-    ``cache`` counts only a cache the node *owns*: nodes sharing one session
-    cache (the conformance harness's shared-cache variants) report empty
-    cache stats so fleet aggregation never double-counts one object.
-
-    Attributes:
-        node_id: stable routing identity (survives replacement).
-        alive: whether the node is believed serveable right now.
-        databases: databases the node holds warm servers for.
-        envelopes_served: sub-workloads this node has accepted.
-        cache: the node-owned language cache counters.
-        pool: worker-pool counters summed over the node's servers.
-    """
-
-    node_id: str
-    alive: bool
-    databases: int
-    envelopes_served: int
-    cache: CacheStats
-    pool: PoolStats
-
-    def as_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "alive": self.alive,
-            "databases": self.databases,
-            "envelopes_served": self.envelopes_served,
-            "cache": self.cache.as_dict(),
-            "pool": self.pool.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NodeStats":
-        """Rebuild from :meth:`as_dict` output (the HTTP stats wire format)."""
-        cache = CacheStats(
-            **{f.name: payload["cache"].get(f.name, 0) for f in fields(CacheStats)}
-        )
-        return cls(
-            node_id=payload["node_id"],
-            alive=payload["alive"],
-            databases=payload["databases"],
-            envelopes_served=payload["envelopes_served"],
-            cache=cache,
-            pool=PoolStats.from_dict(payload["pool"]),
-        )
 
 
 class Node(ABC):
@@ -232,9 +183,8 @@ class Exchange(ABC):
     def degraded_serves(self) -> int:
         """Envelope parts answered by the in-process serial fallback.
 
-        Non-zero only on routed exchanges with ``degraded_fallback`` enabled;
-        the front-end surfaces it in
-        :class:`~repro.service.async_server.ServerMetrics`.
+        Non-zero only on routed exchanges whose failover chain ran out; the
+        front-end surfaces it in :class:`~repro.metrics.ServerMetrics`.
         """
         return 0
 
@@ -245,7 +195,7 @@ class Exchange(ABC):
         :class:`CacheStats` (a shared cache counted once per node would be
         counted N times in the fleet roll-up); this hook lets the exchange
         report the shared cache exactly once instead, so the front-end's
-        :class:`~repro.service.async_server.ServerMetrics` aggregate includes
+        :class:`~repro.metrics.ServerMetrics` aggregate includes
         it.  ``None`` when the exchange holds no shared cache.
         """
         return None
@@ -265,10 +215,7 @@ class Exchange(ABC):
     def worker_pids(self) -> frozenset[int]:
         """Union of worker PIDs across nodes (remote nodes report their own
         hosts' PIDs — meaningful for diagnostics, not for local signalling)."""
-        pids: set[int] = set()
-        for snapshot in self.stats():
-            pids.update(snapshot.pool.worker_pids)
-        return frozenset(pids)
+        return frozenset(PoolStats.aggregate(node.pool for node in self.stats()).worker_pids)
 
     def __enter__(self) -> "Exchange":
         return self

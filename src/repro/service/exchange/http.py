@@ -59,11 +59,12 @@ from time import monotonic, sleep
 
 from ...exceptions import ReproError
 from ...lru import BoundedLru
+from ...metrics import NodeStats
 from ..cancellation import CancellationToken
 from ..outcome import QueryOutcome
 from ..server import CancelArg
 from ..workload import Workload
-from .base import AnyDatabase, Node, NodeStats
+from .base import AnyDatabase, Node
 from .health import RetryPolicy
 from .manager import NodeLauncher, NodeManager
 from .nodes import ThreadNode
@@ -442,7 +443,12 @@ class HttpNode(Node):
     # -------------------------------------------------------------- lifecycle
 
     def stats(self) -> NodeStats:
-        return NodeStats.from_dict(self._request_json("GET", "/stats"))
+        """The node's ``/stats`` snapshot; an unreachable node reports itself
+        dead with zero counters, so it cannot take the fleet's metrics down."""
+        try:
+            return NodeStats.from_dict(self._request_json("GET", "/stats"))
+        except ReproError:
+            return NodeStats(self.node_id, alive=False)
 
     def kill(self) -> None:
         self._killed = True

@@ -15,12 +15,12 @@ import threading
 from collections.abc import Iterator
 
 from ...exceptions import ReproError
-from ...resilience.engine import CacheStats
+from ...metrics import CacheStats, NodeStats, PoolStats
 from ..cache import LanguageCache
 from ..outcome import QueryOutcome
-from ..server import CancelArg, PoolStats, ResilienceServer
+from ..server import CancelArg, ResilienceServer
 from ..workload import Workload
-from .base import AnyDatabase, Node, NodeStats
+from .base import AnyDatabase, Node
 
 
 class ThreadNode(Node):
@@ -131,7 +131,7 @@ class ThreadNode(Node):
             alive=self.alive,
             databases=len(servers),
             envelopes_served=self._envelopes_served,
-            cache=self._cache.stats.snapshot() if self._owns_cache else CacheStats(),
+            cache=self._cache.stats if self._owns_cache else CacheStats(),
             pool=PoolStats.aggregate(server.pool_stats() for server in servers),
         )
 

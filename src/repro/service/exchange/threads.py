@@ -32,11 +32,12 @@ from collections.abc import Iterator
 from dataclasses import replace
 
 from ...exceptions import ReproError
-from ..cache import CacheStats, LanguageCache
+from ...metrics import CacheStats, NodeStats
+from ..cache import LanguageCache
 from ..outcome import ERROR, QueryOutcome
 from ..server import CancelArg
 from ..workload import Workload
-from .base import EnvelopePart, Exchange, Node, NodeStats, WorkloadEnvelope
+from .base import EnvelopePart, Exchange, Node, WorkloadEnvelope
 from .manager import NodeManager, ThreadNodeLauncher
 from .nodes import ThreadNode
 from .router import Router
@@ -56,21 +57,20 @@ class RoutedExchange(Exchange):
         manager: the node fleet (with or without a launcher; without one,
             failed nodes cannot be auto-replaced).  A part survives up to
             :data:`MAX_FAILOVERS` node failures.
-        degraded_fallback: when a part's failover chain is exhausted
-            (``NodeLost``), serve its unserved tail on a throwaway in-process
-            serial node instead of failing structurally.  The serial path is
-            the reference semantics every node is pinned against, so the
-            fallback is outcome-identical by construction; each fallback
-            that finishes increments :attr:`degraded_serves` (one that fails
-            answers ``DegradedServeFailed`` and counts nothing).  Protocol
-            breaches (a node ending its stream early) never degrade —
-            replaying a broken contract in-process would mask the bug.
+
+    When a part's failover chain is exhausted (``NodeLost``), its unserved
+    tail is served on a throwaway in-process serial node instead of failing
+    structurally.  The serial path is the reference semantics every node is
+    pinned against, so the fallback is outcome-identical by construction;
+    each fallback that finishes increments :attr:`degraded_serves` (one that
+    fails answers ``DegradedServeFailed`` and counts nothing).  Protocol
+    breaches (a node ending its stream early) never degrade — replaying a
+    broken contract in-process would mask the bug.
     """
 
-    def __init__(self, manager: NodeManager, *, degraded_fallback: bool = True) -> None:
+    def __init__(self, manager: NodeManager) -> None:
         self._manager = manager
         self._router = Router()
-        self._degraded_fallback = degraded_fallback
         self._degraded_serves = 0
         self._lock = threading.Lock()
         self._closed = False
@@ -187,7 +187,7 @@ class RoutedExchange(Exchange):
             if failures > MAX_FAILOVERS:
                 reason = f"NodeLost: gave up after {failures} node failures ({reason})"
                 break
-        if remaining and self._degraded_fallback and reason.startswith("NodeLost"):
+        if remaining and reason.startswith("NodeLost"):
             # The whole chain is gone, not misbehaving: serve the tail on a
             # throwaway serial node with a fresh string-keyed cache — the
             # uncached serial reference every node is pinned against — rather
@@ -323,4 +323,4 @@ class ThreadExchange(RoutedExchange):
     def shared_cache_stats(self) -> "CacheStats | None":
         if self._shared_cache is None:
             return None
-        return self._shared_cache.stats.snapshot()
+        return self._shared_cache.stats

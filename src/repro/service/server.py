@@ -34,10 +34,10 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields
 
 from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
+from ..metrics import PoolStats
 from ..resilience.engine import warm_database
 from ..resilience.result import ResilienceResult
 from .cache import LanguageCache
@@ -92,72 +92,6 @@ def _nudge_pool(pool: ProcessPoolExecutor | None) -> None:
                 wakeup.wakeup()
     except (AttributeError, OSError, RuntimeError):  # pragma: no cover
         pass  # internals moved or the pool is tearing down: nothing to nudge
-
-
-@dataclass(frozen=True)
-class PoolStats:
-    """A point-in-time snapshot of one server's worker-pool activity.
-
-    Counters are cumulative over the server's lifetime (pool replacements
-    included), so deltas between snapshots are meaningful.  Part of the
-    metrics surface scraped by the async front-end's
-    :meth:`~repro.service.async_server.AsyncResilienceServer.metrics`.
-
-    Attributes:
-        pools_created: process pools forked so far (1 on a healthy warm
-            server; each crash replacement or width growth adds one).
-        pool_width: worker count of the live pool (0 while cold/closed).
-        worker_pids: PIDs of the live workers, sorted (empty while cold).
-        chunks_dispatched: tasks submitted to a pool, retries included.
-        chunks_retried: crashed chunks re-dispatched onto a fresh pool.
-        crashes: ``BrokenProcessPool`` events observed (worker deaths).
-    """
-
-    pools_created: int
-    pool_width: int
-    worker_pids: tuple[int, ...]
-    chunks_dispatched: int
-    chunks_retried: int
-    crashes: int
-
-    def as_dict(self) -> dict:
-        """The snapshot as a plain dict — the metrics-surface serialization."""
-        payload = asdict(self)
-        payload["worker_pids"] = list(self.worker_pids)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PoolStats":
-        """Rebuild a snapshot from :meth:`as_dict` output (the wire format)."""
-        data = {field.name: payload[field.name] for field in fields(cls)}
-        data["worker_pids"] = tuple(data["worker_pids"])
-        return cls(**data)
-
-    @classmethod
-    def aggregate(cls, parts: Iterable["PoolStats"]) -> "PoolStats":
-        """Combine per-node snapshots into one fleet-wide snapshot.
-
-        Counters sum; ``pool_width`` sums (total live workers across nodes);
-        ``worker_pids`` concatenates sorted.  Aggregating a single snapshot is
-        the identity, which keeps the one-node metrics surface unchanged.
-        """
-        pools_created = pool_width = chunks_dispatched = chunks_retried = crashes = 0
-        pids: list[int] = []
-        for part in parts:
-            pools_created += part.pools_created
-            pool_width += part.pool_width
-            chunks_dispatched += part.chunks_dispatched
-            chunks_retried += part.chunks_retried
-            crashes += part.crashes
-            pids.extend(part.worker_pids)
-        return cls(
-            pools_created=pools_created,
-            pool_width=pool_width,
-            worker_pids=tuple(sorted(pids)),
-            chunks_dispatched=chunks_dispatched,
-            chunks_retried=chunks_retried,
-            crashes=crashes,
-        )
 
 
 class ResilienceServer:

@@ -28,16 +28,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from collections.abc import Iterable, Mapping
 
+from ..metrics import Snapshot
 from ..resilience.engine import resilience_many, warm_database
 from .cache import AnalysisStore, LanguageCache, ResultStore
 from .workload import QuerySpec
 
 
 @dataclass(frozen=True)
-class WarmReport:
+class WarmReport(Snapshot):
     """What one warming pass did (returned by the warm functions and the CLI).
 
     Every count covers this pass alone, also when the pass reuses a cache or
@@ -66,11 +67,6 @@ class WarmReport:
     results_written: int = 0
     skipped: tuple[str, ...] = ()
     compacted: int = 0
-
-    def as_dict(self) -> dict:
-        payload = asdict(self)
-        payload["skipped"] = list(self.skipped)
-        return payload
 
 
 def _as_spec(entry) -> QuerySpec:

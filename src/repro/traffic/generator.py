@@ -22,10 +22,11 @@ Shape of the traffic:
   paced replay would sleep to, and are monotone by construction;
 * **policy mix**: priorities and share weights are drawn per request from
   the profile's choice tuples; a ``deadline_fraction`` of requests carry an
-  end-to-end deadline; a ``budget_fraction`` of specs carry a loose
-  ``max_nodes`` budget and a ``tight_budget_fraction`` a ``max_nodes=1``
-  budget that deterministically trips on exact queries, so the trace
-  exercises every outcome status without losing replayability.
+  end-to-end deadline; a spec rolling under ``tight_budget_fraction`` gets
+  ``max_nodes=1`` (which deterministically trips) if its query is NP-hard and
+  a loose ``max_nodes`` budget otherwise, and a further ``budget_fraction``
+  gets the loose budget — so loose budgets remain at ``budget_fraction=0``,
+  and the trace exercises every outcome status without losing replayability.
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ class TrafficProfile:
             Deadlines make admission timing-dependent, so replay-parity
             harnesses keep this at 0 and soak reports simply count expiries.
         deadline_seconds: the deadline those requests carry.
-        budget_fraction: fraction of specs carrying a loose ``max_nodes``
-            budget (never trips on the small generated databases).
+        budget_fraction: further fraction of specs carrying a loose
+            ``max_nodes`` budget (never trips on the small generated databases).
         budget_nodes: that loose budget.
-        tight_budget_fraction: fraction of specs carrying ``max_nodes=1`` —
-            deterministically ``budget-exceeded`` on NP-hard queries, so
-            traces exercise the budget path without breaking replayability.
+        tight_budget_fraction: fraction of specs carrying ``max_nodes=1`` if
+            their query is NP-hard — deterministically ``budget-exceeded``, so
+            traces exercise the budget path without breaking replayability —
+            and the loose budget otherwise.
     """
 
     seed: int = 0

@@ -234,6 +234,22 @@ class TestConcurrency:
 # ---------------------------------------------------------------- ipc-safety
 
 
+class TestMovedCodeKeepsItsRules:
+    def test_metrics_module_is_in_the_serving_and_determinism_scopes(self):
+        # The snapshots moved out of ``repro/service/`` and
+        # ``repro/resilience/`` into ``repro/metrics.py``; their rules moved
+        # with them.
+        local_class = """
+            def endpoint():
+                class Handler:
+                    pass
+                return Handler
+            """
+        assert rules_of(analyze(local_class, "src/repro/metrics.py")) == {"ipc-local-class"}
+        wallclock = "import time\nSTAMP = time.time()\n"
+        assert rules_of(analyze(wallclock, "src/repro/metrics.py")) == {"det-wallclock"}
+
+
 class TestIpcSafety:
     def test_lambda_submit_flagged(self):
         findings = analyze(
@@ -537,6 +553,12 @@ class TestCli:
         target.write_text("HALF = 0.5\n")
         assert main([str(tmp_path), "--no-baseline"]) == 1
         assert "exact-float-literal" in capsys.readouterr().out
+
+    def test_unused_pragma_fails_the_gate(self, tmp_path, capsys):
+        target = tmp_path / "mod.py"
+        target.write_text("VALUE = 1  # repro: allow[exact-div] -- nothing here\n")
+        assert main([str(tmp_path), "--no-baseline", "--strict"]) == 1
+        assert "pragma-unused" in capsys.readouterr().out
 
     def test_bad_path_and_bad_rule_exit_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "missing")]) == 2

@@ -903,9 +903,11 @@ class TestMetrics:
             result_misses=6,
         )
         assert total.as_dict()["canonical_hits"] == 5
-        snapshot = parts[0].snapshot()
-        parts[0].classifications += 1
-        assert snapshot.classifications == 2, "snapshot must be frozen in time"
+        cache = LanguageCache()
+        snapshot = cache.stats
+        cache.plan(cache.language("ab"))
+        assert snapshot.classifications == 0, "stats must be frozen in time"
+        assert cache.stats.classifications == 1
 
     def test_latency_histogram_quantiles(self):
         from repro.service import LatencyHistogram

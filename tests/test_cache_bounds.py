@@ -108,7 +108,7 @@ class TestBoundedLru:
     def test_gauges_round_trip_through_stats_surfaces(self, database):
         cache = LanguageCache(max_entries=2)
         resilience_many(DISTINCT, database, cache=cache)
-        snapshot = cache.stats.snapshot()
+        snapshot = cache.stats
         payload = snapshot.as_dict()
         for gauge in CacheStats.GAUGE_FIELDS:
             assert gauge in payload

@@ -291,27 +291,9 @@ def test_node_crash_mid_stream_loses_and_leaks_nothing(set_db):
         assert exchange.heartbeat()[owner] is False
 
 
-def test_whole_fleet_death_without_launcher_fails_structurally(set_db):
-    """With the degraded serial fallback disabled, an exhausted failover
-    chain surfaces as structured NodeLost errors, one per query."""
-    manager = NodeManager()
-    manager.register(ThreadNode("only", max_workers=1))
-    from repro.service.exchange import RoutedExchange
-
-    with RoutedExchange(manager, degraded_fallback=False) as exchange:
-        exchange.manager.kill("only")
-        outcomes = sorted_outcomes(
-            exchange.submit(WorkloadEnvelope.single(Workload.coerce(QUERIES), set_db))
-        )
-        assert [outcome.index for outcome in outcomes] == list(range(len(QUERIES)))
-        assert all(outcome.status == "error" for outcome in outcomes)
-        assert all("NodeLost" in outcome.error for outcome in outcomes)
-        assert exchange.degraded_serves == 0
-
-
 def test_whole_fleet_death_degrades_to_serial_with_parity(set_db):
-    """Default behavior: the same exhausted chain degrades to the in-process
-    serial fallback — full parity with the reference, counted once."""
+    """An exhausted failover chain degrades to the in-process serial
+    fallback — full parity with the reference, counted once."""
     manager = NodeManager()
     manager.register(ThreadNode("only", max_workers=1))
     from repro.service.exchange import RoutedExchange

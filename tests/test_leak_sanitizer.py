@@ -16,6 +16,7 @@ def test_sanitized_suites_are_the_resourceful_ones():
         "test_async_server",
         "test_exchange",
         "test_traffic",
+        "test_metrics",
     }
 
 

@@ -36,7 +36,7 @@ OPTION_SURFACE = {
     ResilienceServer: ("database", "max_workers", "cache"),
     ThreadNode: ("node_id", "max_workers", "cache"),
     ThreadNodeLauncher: ("max_workers", "cache"),
-    RoutedExchange: ("manager", "degraded_fallback"),
+    RoutedExchange: ("manager",),
     ThreadExchange: ("nodes", "max_workers", "cache"),
     HttpNodeServer: ("node_id", "host", "port", "max_workers", "max_databases"),
     HttpNodeLauncher: ("host", "max_workers", "request_timeout", "retry", "max_databases"),
@@ -61,13 +61,14 @@ OPTION_SURFACE = {
 
 #: Keywords the entry points no longer accept: serial execution is
 #: ``max_workers=1``, the router and failover bound are fixed, a caller
-#: with its own fleet uses ``RoutedExchange(manager)``, a soak always
+#: with its own fleet uses ``RoutedExchange(manager)``, an exhausted
+#: failover chain always degrades to the serial fallback, a soak always
 #: heals its fleet, and a cache is bounded by entries only.
 REMOVED_KEYWORDS = {
     ResilienceServer: ("parallel",),
     ThreadNode: ("parallel",),
     ThreadNodeLauncher: ("parallel",),
-    RoutedExchange: ("router", "max_failovers"),
+    RoutedExchange: ("router", "max_failovers", "degraded_fallback"),
     ThreadExchange: ("manager", "router", "max_failovers", "degraded_fallback", "parallel"),
     HttpNodeServer: ("parallel",),
     HttpNodeLauncher: ("parallel",),
@@ -85,7 +86,7 @@ def test_serving_option_surface_is_pinned():
         for entry in OPTION_SURFACE
     }
     assert surface == {entry.__qualname__: names for entry, names in OPTION_SURFACE.items()}
-    assert sum(len(names) for names in OPTION_SURFACE.values()) == 66
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 65
 
     positional = {
         ResilienceServer: (generators.random_labelled_graph(3, 4, "ab", seed=1),),

@@ -63,9 +63,9 @@ done
 echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
 python -m pytest -q perfbench/selftest.py
 
-echo "ci: leak-sanitized service/exchange/traffic/cache-bound suites (threads, processes, sockets, temp dirs)"
+echo "ci: leak-sanitized service/exchange/traffic/metrics/cache-bound suites (threads, processes, sockets, temp dirs)"
 REPRO_LEAK_SANITIZER=on python -m pytest -q tests/test_server.py tests/test_async_server.py tests/test_exchange.py tests/test_traffic.py \
-  tests/test_cache_bounds.py
+  tests/test_metrics.py tests/test_cache_bounds.py
 
 # A warming process and a serving process never share a hash seed, and
 # stored plans pickle frozenset-based automata: the warm half must read back
