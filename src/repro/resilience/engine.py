@@ -206,7 +206,11 @@ class LanguageCache:
     those a once-per-distinct-*language* cost through a hierarchy of layers:
 
     * string queries are parsed once per distinct expression and map to one
-      shared :class:`~repro.languages.core.Language` instance;
+      shared :class:`~repro.languages.core.Language` instance — with an
+      :class:`~repro.resilience.store.AnalysisStore`, once per distinct
+      expression *any* process met: the store's expression entry holds the
+      parsed automaton and its fingerprint, so a restarted session neither
+      parses nor canonicalizes a string a warm pass already saw;
     * the canonical layer (on by default) fingerprints every resolved language
       by its canonical minimal DFA, so *equivalent but syntactically different*
       queries — ``(ab)*a`` and ``a(ba)*`` — share one representative's memoized
@@ -216,10 +220,9 @@ class LanguageCache:
       the representative shares the infix-free sublanguage;
     * the :class:`QueryPlan` is memoized per fingerprint (per instance when
       the canonical layer is off);
-    * an optional :class:`~repro.resilience.store.AnalysisStore` adds an
-      on-disk layer below the canonical one: a fingerprint seen by *any*
-      previous process resolves its plan from disk instead of recomputing
-      it;
+    * the optional store adds an on-disk layer below the canonical one too:
+      a fingerprint seen by *any* previous process resolves its plan from
+      disk instead of recomputing it;
     * compiled automaton plans are already shared process-wide by
       :func:`~repro.languages.automata.compile_automaton` (keyed by automaton
       equality), so even two distinct-but-equal languages share one plan.
@@ -299,18 +302,33 @@ class LanguageCache:
     def language(self, query: Language | RPQ | str) -> Language:
         """Return the (shared) :class:`Language` for a query.
 
-        Strings are parsed once per distinct expression; languages and RPQs
-        resolve through the canonical layer (their own instance on a miss, a
-        relabelled copy of the representative on a hit).
+        Strings are parsed once per distinct expression (see :meth:`_parse`);
+        every query resolves through the canonical layer (its own instance on
+        a miss, a relabelled copy of the representative on a hit).
         """
         if isinstance(query, str):
             cached = self._by_expression.get(query)
             if cached is None:
-                cached = self._resolve_canonical(Language.from_regex(query))
+                cached = self._resolve_canonical(self._parse(query))
                 self._by_expression.set(query, cached)
             return cached
         resolved = self._resolve_canonical(_as_language(query))
         return resolved
+
+    def _parse(self, query: str) -> Language:
+        """Parse an expression, or read it back from the analysis store.
+
+        A store hit is the stored automaton with its fingerprint preset; a
+        miss parses and fingerprints the string, then writes the entry (an
+        unparsable string raises before anything is written).
+        """
+        if self._store is None:
+            return Language.from_regex(query)
+        language = self._store.get_expression(query)
+        if language is None:
+            language = Language.from_regex(query)
+            self._store.put_expression(query, language)
+        return language
 
     def _resolve_canonical(self, language: Language) -> Language:
         """Intern a language by its canonical-DFA fingerprint.

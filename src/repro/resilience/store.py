@@ -8,7 +8,10 @@ building that algorithm's artefact — is a pure function of the query
 language's canonical-DFA fingerprint
 (:meth:`~repro.languages.core.Language.fingerprint`), so repeated benchmark or
 serving runs skip the analysis entirely, even for queries written in a
-different but equivalent syntax.  :class:`ResultStore` persists whole
+different but equivalent syntax.  Next to each plan it keeps one *expression
+entry* per query string — the string's parsed automaton and its fingerprint —
+so a restarted process resolves a string it met before without parsing or
+canonicalizing it.  :class:`ResultStore` persists whole
 :class:`~repro.resilience.result.ResilienceResult` values one layer further
 down, keyed by the full computation identity ``(language fingerprint, database
 content fingerprint, semantics, forced method, unsafe)`` — the cross-process
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from ..languages.automata import EpsilonNFA
 from ..languages.core import Language
 from .engine import QueryPlan
 from .result import ResilienceResult
@@ -69,9 +73,10 @@ def code_version_salt() -> str:
     predicates reach deep into it — ``words.is_strict_infix`` shapes
     ``IF(L)``, for example — and a hand-picked module list is exactly the
     kind of dependency audit that rots), plus the classifier, the planning
-    engine and the one-dangling plan.  Over-invalidating on an
-    unrelated edit costs one warm-up run; under-invalidating would silently
-    serve wrong plans.
+    engine and the one-dangling plan.  The package also holds the regex
+    compiler and the canonicalization, so the salt covers expression entries
+    too.  Over-invalidating on an unrelated edit costs one warm-up run;
+    under-invalidating would silently serve wrong plans.
     """
     from .. import languages
     from ..classify import classifier
@@ -118,8 +123,12 @@ def _digest_files(paths: set[Path]) -> str:
 class StoreStats:
     """Counters of one store instance (not persisted).
 
-    ``evictions`` counts files this instance unlinked — invalid entries
-    dropped on detection plus compaction victims.
+    ``hits``, ``misses`` and ``writes`` count the keyed entries — plans of an
+    :class:`AnalysisStore`, results of a :class:`ResultStore`.  An analysis
+    store counts its expression entries apart, in ``expression_hits`` and
+    ``expression_writes``.  ``ignored`` and ``evictions`` count files of
+    either kind: entries dropped on detection, and files this instance
+    unlinked (those plus compaction victims).
     """
 
     hits: int
@@ -127,6 +136,8 @@ class StoreStats:
     writes: int
     ignored: int
     evictions: int = 0
+    expression_hits: int = 0
+    expression_writes: int = 0
 
 
 def _plan_meta(infix_free: Language | None) -> dict:
@@ -140,14 +151,15 @@ class StoreBackend:
     """Shared machinery of the on-disk stores: one directory of entry files.
 
     Subclasses fix the entry ``suffix``, the default code-version salt and
-    the payload schema; the backend owns the envelope (format version + salt),
-    atomic writes, read-time validation with evict-on-detection, and
-    :meth:`compact`.  Safe to share between concurrent readers and writers of
-    the same code version: writes are atomic renames, any reader that loses a
-    race simply recomputes, and racing unlinks are no-ops.
+    the payload schema, and count their own hits, misses and writes; the
+    backend owns the envelope (format version + salt), atomic writes,
+    read-time validation with evict-on-detection, and :meth:`compact`.  Safe
+    to share between concurrent readers and writers of the same code version:
+    writes are atomic renames, any reader that loses a race simply
+    recomputes, and racing unlinks are no-ops.
     """
 
-    #: Filename suffix of this backend's entries (overridden per subclass).
+    #: Filename suffix of this backend's keyed entries (overridden per subclass).
     suffix = ".entry"
 
     def __init__(self, directory: str | os.PathLike, *, salt: str | None = None) -> None:
@@ -159,6 +171,8 @@ class StoreBackend:
         self._writes = 0
         self._ignored = 0
         self._evictions = 0
+        self._expression_hits = 0
+        self._expression_writes = 0
 
     def _default_salt(self) -> str:
         raise NotImplementedError
@@ -171,23 +185,29 @@ class StoreBackend:
     def salt(self) -> str:
         return self._salt
 
-    def _path(self, name: str) -> Path:
-        return self._directory / f"{name}{self.suffix}"
+    def _kinds(self) -> tuple[str, ...]:
+        """The filename suffix of each kind of entry in the directory."""
+        return (self.suffix,)
 
-    def _load(self, name: str, validate: "Callable[[dict], None]") -> dict | None:
+    @staticmethod
+    def _digest(key: object) -> str:
+        """A filename for a key that may not make one (a tuple, any string)."""
+        return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:40]
+
+    def _load(self, filename: str, validate: "Callable[[dict], None]") -> dict | None:
         """Read and validate one envelope; evict anything that fails.
 
-        A missing file is a plain miss.  An unreadable, stale-version,
-        wrong-salt or internally inconsistent entry counts as an ``ignored``
-        miss *and is unlinked*: the store never trusts an entry it cannot
-        fully validate, and keeping the file around would re-pay the read and
-        the failed validation on every subsequent miss of the same key.
+        Returns ``None`` for a missing file, and for an unreadable,
+        stale-version, wrong-salt or internally inconsistent entry, which
+        also counts as ``ignored`` *and is unlinked*: the store never trusts
+        an entry it cannot fully validate, and keeping the file around would
+        re-pay the read and the failed validation on every subsequent miss of
+        the same key.  The caller counts the hit or miss.
         """
-        path = self._path(name)
+        path = self._directory / filename
         try:
             raw = path.read_bytes()
         except OSError:
-            self._misses += 1
             return None
         try:
             envelope = pickle.loads(raw)
@@ -200,13 +220,11 @@ class StoreBackend:
             validate(envelope)
         except Exception:
             self._ignored += 1
-            self._misses += 1
             self._unlink(path)
             return None
-        self._hits += 1
         return envelope
 
-    def _store(self, name: str, payload: dict) -> None:
+    def _store(self, filename: str, payload: dict) -> None:
         """Persist one entry atomically (last writer wins)."""
         envelope = {"format": STORE_FORMAT_VERSION, "salt": self._salt, **payload}
         raw = pickle.dumps(envelope)
@@ -214,14 +232,13 @@ class StoreBackend:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(raw)
-            os.replace(temp_name, self._path(name))
+            os.replace(temp_name, self._directory / filename)
         except BaseException:
             try:
                 os.unlink(temp_name)
             except OSError:
                 pass
             raise
-        self._writes += 1
 
     def _unlink(self, path: Path) -> None:
         try:
@@ -235,37 +252,51 @@ class StoreBackend:
     ) -> int:
         """Bound the directory by entry count and/or age; return evicted count.
 
-        Age is measured from each file's mtime (refreshed on every rewrite),
-        and the count bound drops oldest-first — the on-disk analogue of the
-        in-memory LRU bounds.  Tolerates concurrent writers and compactors:
-        entries that vanish mid-scan are simply skipped.
+        Each kind of entry is bounded apart: an analysis store keeps up to
+        ``max_entries`` plans and as many expression entries.  Age is
+        measured from each file's mtime, which is when the entry was written:
+        an entry is written when a session computed it, never on a hit (and
+        a result entry only when no file holds its key), so the count bound
+        drops the first computed, not the least used.  Tolerates concurrent
+        writers and compactors: entries that vanish mid-scan are skipped.
         """
-        entries: list[tuple[float, Path]] = []
-        for path in self._directory.glob(f"*{self.suffix}"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue  # raced a sibling's eviction
-        entries.sort(key=lambda pair: pair[0])
-        before = self._evictions
+        horizon = None
         if max_age_seconds is not None:
             # mtimes are wall-clock by nature; a clock jump can only make
             # compaction keep entries longer or drop them earlier — a cache
             # sizing effect, never a correctness one.
             horizon = time.time() - max_age_seconds  # repro: allow[det-wallclock] -- mtime age bound; cache sizing only
-            while entries and entries[0][0] < horizon:
-                self._unlink(entries.pop(0)[1])
-        if max_entries is not None:
-            while len(entries) > max_entries:
-                self._unlink(entries.pop(0)[1])
+        before = self._evictions
+        for suffix in self._kinds():
+            entries: list[tuple[float, Path]] = []
+            for path in self._directory.glob(f"*{suffix}"):
+                try:
+                    entries.append((path.stat().st_mtime, path))
+                except OSError:
+                    continue  # raced a sibling's eviction
+            entries.sort(key=lambda pair: pair[0])
+            if horizon is not None:
+                while entries and entries[0][0] < horizon:
+                    self._unlink(entries.pop(0)[1])
+            if max_entries is not None:
+                while len(entries) > max_entries:
+                    self._unlink(entries.pop(0)[1])
         return self._evictions - before
 
     def stats(self) -> StoreStats:
-        """Return this instance's hit/miss/write/ignored/evicted counters."""
-        return StoreStats(self._hits, self._misses, self._writes, self._ignored, self._evictions)
+        """Return this instance's counters (see :class:`StoreStats`)."""
+        return StoreStats(
+            self._hits,
+            self._misses,
+            self._writes,
+            self._ignored,
+            self._evictions,
+            self._expression_hits,
+            self._expression_writes,
+        )
 
     def __len__(self) -> int:
-        """Return the number of entries currently on disk."""
+        """Return the number of keyed entries (plans or results) on disk."""
         return sum(1 for _ in self._directory.glob(f"*{self.suffix}"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -279,18 +310,37 @@ class StoreBackend:
 class AnalysisStore(StoreBackend):
     """A directory of per-fingerprint query plans shared across processes.
 
-    One ``.analysis`` file per language fingerprint, holding the language's
-    :class:`~repro.resilience.engine.QueryPlan` and its ``plan_meta`` (state
-    and transition counts of the infix-free automaton: a cheap cross-check
-    of the payload, not an input to any computation).  Use :meth:`stats` to
-    observe hit rates, e.g. to assert that a warm benchmark run actually
-    exercised the store.
+    It holds two kinds of entry, both behind the same envelope, salt, atomic
+    write, evict-on-invalid read and :meth:`compact`:
+
+    * one ``<fingerprint>.analysis`` file per language fingerprint, holding
+      the language's :class:`~repro.resilience.engine.QueryPlan` and its
+      ``plan_meta`` (state and transition counts of the infix-free
+      automaton: a cheap cross-check of the payload, not an input to any
+      computation);
+    * one ``<digest>.expression`` file per query string, holding the string,
+      its parsed automaton and that automaton's fingerprint, so a process
+      that meets a string some earlier process met resolves it — and then
+      its plan — without parsing or canonicalizing.  Filenames are a digest
+      of the string; the string itself is checked on read.
+
+    Both are safe hints for the same reason: each is a pure function of its
+    key and of the code the salt hashes (all of :mod:`repro.languages` — the
+    regex compiler and the canonicalization included — the classifier and
+    the planner), so a valid entry equals a fresh computation, and an invalid
+    one is a miss.  Use :meth:`stats` to observe hit rates, e.g. to assert
+    that a warm benchmark run actually exercised the store.
     """
 
     suffix = ".analysis"
+    #: Filename suffix of expression entries.
+    expression_suffix = ".expression"
 
     def _default_salt(self) -> str:
         return code_version_salt()
+
+    def _kinds(self) -> tuple[str, ...]:
+        return (self.suffix, self.expression_suffix)
 
     def get(self, fingerprint: str) -> QueryPlan | None:
         """Return the stored plan for a fingerprint, or ``None``.
@@ -308,15 +358,56 @@ class AnalysisStore(StoreBackend):
             if envelope["plan_meta"] != _plan_meta(plan.infix_free):
                 raise ValueError("plan metadata does not match the payload")
 
-        envelope = self._load(fingerprint, validate)
-        return None if envelope is None else envelope["plan"]
+        envelope = self._load(f"{fingerprint}{self.suffix}", validate)
+        if envelope is None:
+            self._misses += 1
+            return None
+        self._hits += 1
+        return envelope["plan"]
 
     def put(self, fingerprint: str, plan: QueryPlan) -> None:
         """Persist one plan atomically (last writer wins)."""
         self._store(
-            fingerprint,
+            f"{fingerprint}{self.suffix}",
             {"fingerprint": fingerprint, "plan": plan, "plan_meta": _plan_meta(plan.infix_free)},
         )
+        self._writes += 1
+
+    def get_expression(self, expression: str) -> Language | None:
+        """Return the stored language of a query string, or ``None``.
+
+        A hit is ``Language(automaton, name=expression)`` with its
+        fingerprint already set, as :meth:`put_expression` saw it.  Invalid
+        entries are ignored and evicted like invalid plans.
+        """
+
+        def validate(envelope: dict) -> None:
+            if envelope["expression"] != expression:
+                raise ValueError("entry does not match its key")
+            if not isinstance(envelope["automaton"], EpsilonNFA):
+                raise ValueError("payload is not an automaton")
+            if not isinstance(envelope["fingerprint"], str):
+                raise ValueError("fingerprint is not a string")
+
+        envelope = self._load(f"{self._digest(expression)}{self.expression_suffix}", validate)
+        if envelope is None:
+            return None
+        self._expression_hits += 1
+        language = Language(envelope["automaton"], name=expression)
+        language._fingerprint = envelope["fingerprint"]
+        return language
+
+    def put_expression(self, expression: str, language: Language) -> None:
+        """Persist the parsed language of a query string and its fingerprint."""
+        self._store(
+            f"{self._digest(expression)}{self.expression_suffix}",
+            {
+                "expression": expression,
+                "automaton": language.automaton,
+                "fingerprint": language.fingerprint(),
+            },
+        )
+        self._expression_writes += 1
 
 
 class ResultStore(StoreBackend):
@@ -336,10 +427,6 @@ class ResultStore(StoreBackend):
     def _default_salt(self) -> str:
         return result_code_salt()
 
-    @staticmethod
-    def _name(key: tuple) -> str:
-        return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:40]
-
     def get(self, key: tuple) -> ResilienceResult | None:
         """Return the stored result for a computation key, or ``None``."""
 
@@ -349,11 +436,25 @@ class ResultStore(StoreBackend):
             if not isinstance(envelope["result"], ResilienceResult):
                 raise ValueError("payload is not a ResilienceResult")
 
-        envelope = self._load(self._name(key), validate)
+        envelope = self._load(f"{self._digest(key)}{self.suffix}", validate)
         if envelope is None:
+            self._misses += 1
             return None
+        self._hits += 1
         return envelope["result"]
 
     def put(self, key: tuple, result: ResilienceResult) -> None:
-        """Persist one result entry atomically (last writer wins)."""
-        self._store(self._name(key), {"key": key, "result": result})
+        """Persist one result atomically, unless its entry is already on disk.
+
+        First writer wins, as in the in-memory result layer: a result is a
+        deterministic function of its key, so an existing entry holds an
+        equal one, and rewriting it would cost a disk write each time a
+        budgeted spec (which never hits) re-runs in a new session.  A stale
+        or corrupt entry is not overwritten here; its next read evicts it,
+        and the recomputed result is written then.
+        """
+        filename = f"{self._digest(key)}{self.suffix}"
+        if (self._directory / filename).exists():
+            return
+        self._store(filename, {"key": key, "result": result})
+        self._writes += 1

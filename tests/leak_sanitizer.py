@@ -11,7 +11,7 @@ by design.
 
 Wired into ``tests/conftest.py`` for the suites that exercise real
 pools, threads, and HTTP servers (``test_server``, ``test_async_server``,
-``test_exchange``, ``test_traffic``, ``test_metrics``).  The chaos soak harness also brackets
+``test_exchange``, ``test_traffic``, ``test_metrics``, ``test_cache_bounds``).  The chaos soak harness also brackets
 whole soak runs with a :class:`LeakTracker` directly (``SoakRunner``'s
 ``leak_tracker`` argument).  Set ``REPRO_LEAK_SANITIZER=off`` to disable.
 """
@@ -28,7 +28,14 @@ import weakref
 
 #: Suites the sanitizer guards (module basenames, no extension).
 SANITIZED_MODULES = frozenset(
-    {"test_server", "test_async_server", "test_exchange", "test_traffic", "test_metrics"}
+    {
+        "test_server",
+        "test_async_server",
+        "test_exchange",
+        "test_traffic",
+        "test_metrics",
+        "test_cache_bounds",
+    }
 )
 
 #: Seconds to wait for the world to settle before declaring a leak.

@@ -10,16 +10,21 @@ Three pinned guarantees:
   computation — same plan, byte-identical infix-free automaton, identical
   resilience results;
 * the store never trusts what it cannot validate: corrupted bytes, a stale
-  code-version salt and a mis-keyed entry are all ignored and recomputed.
+  code-version salt and a mis-keyed entry are all ignored and recomputed —
+  expression entries as much as plans.
 """
 
 import pickle
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ReproError
 from repro.graphdb import generators
-from repro.languages import Language, canonical_dfa, canonical_fingerprint
+from repro.languages import Language, canonical_dfa, canonical_fingerprint, core, operations
+from repro.languages.examples import FIGURE_1_LANGUAGES
 from repro.languages.operations import equivalent
 from repro.resilience import (
     AnalysisStore,
@@ -29,6 +34,7 @@ from repro.resilience import (
     resilience,
     resilience_many,
 )
+from repro.service.warm import warm_queries
 
 ALPHABET = "ab"
 
@@ -254,3 +260,98 @@ class TestStoreValidation:
         pristine = resilience_many([self.QUERY], database)
         assert damaged == pristine
         assert cache.stats.classifications == 1
+
+
+def count_parses_and_fingerprints(monkeypatch) -> Counter:
+    """Count every regex parse and canonicalization from now on."""
+    calls: Counter = Counter()
+    for module, name in ((core, "regex_to_automaton"), (operations, "canonical_fingerprint")):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestExpressionEntries:
+    """A query string an earlier process met resolves from the store's
+    expression entry: no parse, no canonicalization, the same language."""
+
+    EXPRESSIONS = [example.regex for example in FIGURE_1_LANGUAGES] + ["(ab)*a", "a(ba)*"]
+    QUERY = "ab|ba"
+
+    def test_a_warmed_store_resolves_strings_without_parsing(self, tmp_path, monkeypatch):
+        warm_queries(self.EXPRESSIONS, store=AnalysisStore(tmp_path))
+        fresh = {expression: Language.from_regex(expression) for expression in self.EXPRESSIONS}
+        fingerprints = {expression: fresh[expression].fingerprint() for expression in fresh}
+        calls = count_parses_and_fingerprints(monkeypatch)
+
+        store = AnalysisStore(tmp_path)
+        cache = LanguageCache(store=store)
+        resolved = {expression: cache.language(expression) for expression in self.EXPRESSIONS}
+        plans = {expression: cache.plan(resolved[expression]) for expression in self.EXPRESSIONS}
+        stored = {expression: store.get_expression(expression) for expression in self.EXPRESSIONS}
+        assert calls == Counter()
+        assert cache.stats.classifications == 0
+        assert (store.stats().writes, store.stats().expression_writes) == (0, 0)
+        assert store.stats().expression_hits == 2 * len(self.EXPRESSIONS)
+
+        for expression in self.EXPRESSIONS:
+            assert stored[expression].automaton == fresh[expression].automaton
+            assert stored[expression].fingerprint() == fingerprints[expression]
+            assert resolved[expression].fingerprint() == fingerprints[expression]
+            assert resolved[expression].name == expression
+        assert cache.stats.canonical_misses == len(set(fingerprints.values())) == 23
+        assert fingerprints["(ab)*a"] == fingerprints["a(ba)*"]
+        assert plans["(ab)*a"] is plans["a(ba)*"]
+
+    def damage(self, directory, kind):
+        """Replace the store's one expression entry (for QUERY) by a bad one."""
+        [path] = directory.glob("*.expression")
+        if kind == "junk":
+            path.write_bytes(b"\x00junk, not a pickle")
+        elif kind == "truncated":
+            path.write_bytes(path.read_bytes()[:10])
+        elif kind == "wrong-salt":
+            stale = AnalysisStore(directory, salt="0123456789abcdef")
+            stale.put_expression(self.QUERY, Language.from_regex(self.QUERY))
+        elif kind == "format-1":
+            envelope = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps({**envelope, "format": 1}))
+        else:  # mis-keyed: another string's valid entry under this string's name
+            other = directory / "other"
+            AnalysisStore(other).put_expression("aa", Language.from_regex("aa"))
+            [source] = other.glob("*.expression")
+            path.write_bytes(source.read_bytes())
+        return path
+
+    @pytest.mark.parametrize("kind", ["junk", "truncated", "wrong-salt", "format-1", "mis-keyed"])
+    def test_invalid_entry_is_evicted_and_reparsed(self, tmp_path, monkeypatch, kind):
+        LanguageCache(store=AnalysisStore(tmp_path)).language(self.QUERY)
+        path = self.damage(tmp_path, kind)
+        database = generators.random_labelled_graph(4, 9, ALPHABET, seed=1)
+        calls = count_parses_and_fingerprints(monkeypatch)
+
+        store = AnalysisStore(tmp_path)
+        damaged = resilience_many([self.QUERY], database, cache=LanguageCache(store=store))
+        assert calls["regex_to_automaton"] == 1
+        stats = store.stats()
+        assert (stats.ignored, stats.evictions, stats.expression_hits) == (1, 1, 0)
+        # Re-parsed and written anew: the next reader hits.
+        assert stats.expression_writes == 1
+        reread = AnalysisStore(tmp_path).get_expression(self.QUERY)
+        assert reread.automaton == Language.from_regex(self.QUERY).automaton
+        assert path.exists()
+
+        assert damaged == resilience_many([self.QUERY], database)
+
+    def test_an_unparsable_string_leaves_no_entry(self, tmp_path):
+        store = AnalysisStore(tmp_path)
+        cache = LanguageCache(store=store)
+        with pytest.raises(ReproError):
+            cache.language("((")
+        assert list(tmp_path.iterdir()) == []
+        assert store.stats().expression_writes == 0

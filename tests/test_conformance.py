@@ -44,6 +44,7 @@ from conformance_harness import (
     variant_session,
 )
 from repro.graphdb import generators
+from repro.languages import core, operations
 from repro.service import (
     AnalysisStore,
     LanguageCache,
@@ -90,12 +91,13 @@ def test_variant_is_outcome_identical_to_uncached_serial(
                 pids = session.worker_pids()
 
 
-def test_disk_store_cold_then_warm_pass_hits(database, store_directory, tmp_path):
+def test_disk_store_cold_then_warm_pass_hits(database, store_directory, tmp_path, monkeypatch):
     """A second process-like pass over the same store directory must *hit*.
 
     Two independent ``AnalysisStore`` instances (as two processes would build)
     share one directory: the cold pass writes every analysis, the warm pass
-    reads them all back — zero classifications — and the outcomes agree
+    reads them all back — zero classifications, and no string parsed or
+    canonicalized again but the unparsable one — and the outcomes agree
     exactly.
     """
     directory = store_directory if os.environ.get("REPRO_ANALYSIS_STORE") else tmp_path / "s"
@@ -109,7 +111,16 @@ def test_disk_store_cold_then_warm_pass_hits(database, store_directory, tmp_path
 
     warm_store = AnalysisStore(directory)
     warm_cache = LanguageCache(store=warm_store)
+    parsed, canonicalized = [], []
+    parse, canonicalize = core.regex_to_automaton, operations.canonical_fingerprint
+    monkeypatch.setattr(core, "regex_to_automaton", lambda *a: parsed.append(a[0]) or parse(*a))
+    monkeypatch.setattr(
+        operations, "canonical_fingerprint", lambda *a: canonicalized.append(a) or canonicalize(*a)
+    )
     warm = resilience_serve(workload, database, parallel=False, cache=warm_cache)
+    monkeypatch.undo()
+    assert parsed == ["(("]  # an unparsable string never gets an entry
+    assert canonicalized == []
     assert warm == cold
     assert warm == resilience_serve(workload, database, parallel=False)
     assert warm_store.stats().hits > 0

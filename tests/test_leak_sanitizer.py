@@ -17,6 +17,7 @@ def test_sanitized_suites_are_the_resourceful_ones():
         "test_exchange",
         "test_traffic",
         "test_metrics",
+        "test_cache_bounds",
     }
 
 

@@ -126,6 +126,26 @@ class TestResultStore:
         assert reader_store.stats().hits == 1
         assert reader.stats.result_hits == 1
 
+    def test_put_keeps_the_first_entry_and_a_stale_one_is_rewritten_after_its_read(
+        self, tmp_path, database
+    ):
+        cache = LanguageCache()
+        language = cache.language("ab")
+        key = self.result_key(cache, language, database)
+        result = resilience(language, database)
+        ResultStore(tmp_path, salt="0123456789abcdef").put(key, result)
+        [path] = list(tmp_path.glob("*.result"))
+        stale = path.read_bytes()
+        current = ResultStore(tmp_path)
+        current.put(key, result)
+        assert current.stats().writes == 0 and path.read_bytes() == stale
+        # The read evicts the stale entry; the next put writes the result.
+        assert current.get(key) is None
+        assert current.stats().evictions == 1
+        current.put(key, result)
+        assert current.stats().writes == 1
+        assert ResultStore(tmp_path).get(key) == result
+
     def test_result_store_requires_canonical_layer(self, tmp_path):
         with pytest.raises(ValueError):
             LanguageCache(canonical=False, result_store=ResultStore(tmp_path))
@@ -168,6 +188,21 @@ class TestWriteBack:
         assert store.stats().hits == 1
         assert store.stats().writes == 0
 
+    def test_fresh_sessions_write_a_budgeted_result_once(self, tmp_path, database):
+        # A budgeted spec never hits, so it re-runs in every session; the
+        # disk already holds its result after the first, and is not rewritten.
+        writes = 0
+        for _ in range(2):
+            store = ResultStore(tmp_path)
+            with ResilienceServer(
+                database, max_workers=1, cache=LanguageCache(result_store=store)
+            ) as server:
+                [budgeted] = server.serve([self.BUDGETED])
+            assert budgeted.status == "ok"
+            writes += store.stats().writes
+        assert writes == 1
+        assert len(ResultStore(tmp_path)) == 1
+
 
 class TestCompaction:
     def test_max_entries_drops_oldest_first(self, tmp_path):
@@ -198,6 +233,18 @@ class TestCompaction:
         assert evicted == 1
         assert store.get(fresh.fingerprint()) is not None
         assert store.get(language.fingerprint()) is None
+
+    def test_max_entries_bounds_plans_and_expression_entries_apart(self, tmp_path):
+        store = AnalysisStore(tmp_path)
+        warm_queries(EXPRESSIONS, store=store)
+        classes = len({Language.from_regex(e).fingerprint() for e in EXPRESSIONS})
+        assert (len(store), len(list(tmp_path.glob("*.expression")))) == (
+            classes, len(EXPRESSIONS)
+        )
+        evicted = store.compact(max_entries=3)
+        assert evicted == classes - 3 + len(EXPRESSIONS) - 3
+        assert len(store) == 3
+        assert len(list(tmp_path.glob("*.expression"))) == 3
 
     def test_compact_without_bounds_is_a_no_op(self, tmp_path):
         store = AnalysisStore(tmp_path)

@@ -46,10 +46,11 @@ python -m pytest -x -q
 # frozenset order internally: fixed hash seeds make this check reproducible.
 # The one-dangling compile and map-back iterate dicts built from the index,
 # generated bags must be one bag per seed, a graph recompiled after an
-# eviction must equal the evicted one, and fact ids and the exact search tree
-# over a database's one index must match the pinned outcomes: hash order must
-# reach none of them.
-echo "ci: regex compilation, canonical fingerprints, one-dangling, generated bags, graph eviction and the one index per database under PYTHONHASHSEED=0 and 123"
+# eviction must equal the evicted one, fact ids and the exact search tree
+# over a database's one index must match the pinned outcomes, and a warmed
+# expression entry must read back as a fresh parse: hash order must reach
+# none of them.
+echo "ci: regex compilation, canonical fingerprints, one-dangling, generated bags, graph eviction, the one index per database and warmed expression entries under PYTHONHASHSEED=0 and 123"
 for seed in 0 123; do
   PYTHONHASHSEED="$seed" python -m pytest -q --hypothesis-seed=0 \
     tests/test_automaton_kernel.py -k "TestPinnedFingerprints or TestOnePassCompilation or TestCanonicalTables"
@@ -57,7 +58,8 @@ for seed in 0 123; do
     tests/test_resilience_one_dangling.py \
     tests/test_graphdb.py::TestGenerators::test_random_bag_database_is_one_bag_under_every_hash_seed \
     tests/test_cache_bounds.py::TestGraphCache::test_evicting_every_graph_never_changes_an_outcome \
-    tests/test_resilience_engine.py::TestOneIndexPerDatabase
+    tests/test_resilience_engine.py::TestOneIndexPerDatabase \
+    tests/test_canonical_cache.py::TestExpressionEntries::test_a_warmed_store_resolves_strings_without_parsing
 done
 
 echo "ci: serving benchmark self-tests (the layer names the tracer wraps)"
@@ -68,8 +70,9 @@ REPRO_LEAK_SANITIZER=on python -m pytest -q tests/test_server.py tests/test_asyn
   tests/test_metrics.py tests/test_cache_bounds.py
 
 # A warming process and a serving process never share a hash seed, and
-# stored plans pickle frozenset-based automata: the warm half must read back
-# under a different seed than the cold half wrote with.
+# stored plans and expression entries pickle frozenset-based automata: the
+# warm half must read back under a different seed than the cold half wrote
+# with (and, reading, parse and canonicalize nothing).
 echo "ci: conformance suite, on-disk analysis store cold (PYTHONHASHSEED=0) then warm (=123)"
 mkdir "$SCRATCH/analysis-store"
 PYTHONHASHSEED=0 REPRO_ANALYSIS_STORE="$SCRATCH/analysis-store" python -m pytest -q tests/test_conformance.py
