@@ -202,8 +202,6 @@ def compile_product_graph(
     product of the ``x``-then-``z`` split automaton with the rewritten
     database (see :mod:`repro.resilience.one_dangling`).
     """
-    if not read_once_automaton.is_read_once():
-        raise NotLocalError("the automaton passed to the Theorem 3.13 reduction must be read-once")
     from ..languages.automata import compile_automaton
 
     substrate = product_substrate(index)
@@ -212,6 +210,10 @@ def compile_product_graph(
     cached = substrate.graphs.get(cache_key)
     if cached is not None:
         return cached
+    # Checked on a miss only: a cached graph was compiled from an automaton
+    # that passed this check.
+    if not read_once_automaton.is_read_once():
+        raise NotLocalError("the automaton passed to the Theorem 3.13 reduction must be read-once")
     x_letter, z_capacities, mirrored = dangling or (None, (), False)
     plan = compile_automaton(read_once_automaton)
     # repro: allow[det-repr-sort] -- canonical state numbering: automaton

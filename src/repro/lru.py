@@ -1,9 +1,9 @@
 """One bounded LRU map for every in-process memo.
 
-The language-cache layers, each substrate's compiled flow graphs and an HTTP
-node's shipped databases all hold values a miss can rebuild (or a client can
-re-ship), so evicting one costs a recompute, never an outcome.  This module
-imports nothing from the package, so every layer can use it.
+The language-cache layers, each substrate's compiled flow graphs and each
+serving node's warm servers all hold values a miss can rebuild (or a client
+can re-ship), so evicting one costs a recompute, never an outcome.  This
+module imports nothing from the package, so every layer can use it.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ class BoundedLru:
             evicted = self._insert_locked(key, value, size)
         self._notify(evicted)
         return value
+
+    def values(self) -> list:
+        """A snapshot of the held values, least recently used first."""
+        with self._lock:
+            return [entry[0] for entry in self._data.values()]
 
     def clear(self) -> None:
         with self._lock:

@@ -8,9 +8,10 @@ the serving stack (front-end → **exchange** → nodes):
   bound to the database it runs against.  Envelope-global outcome indices are
   the concatenation of the parts, in order, so a multi-database round stays
   one stream with one index space.
-* :class:`Node` — the serving side: something that can hold databases warm
-  and stream :class:`~repro.service.outcome.QueryOutcome`\\ s for a workload
-  against one of them (a :class:`~repro.service.exchange.nodes.ThreadNode`
+* :class:`Node` — the serving side: something that holds databases warm,
+  registering each on the first serve that needs it, and streams
+  :class:`~repro.service.outcome.QueryOutcome`\\ s for a workload against
+  one of them (a :class:`~repro.service.exchange.nodes.ThreadNode`
   in-process, an :class:`~repro.service.exchange.http.HttpNode` over the
   wire).
 * :class:`~repro.metrics.NodeStats` — one node's observability snapshot,
@@ -121,21 +122,16 @@ class Node(ABC):
         *,
         cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
-        """Stream outcomes for one workload against one registered database."""
+        """Stream outcomes for one workload against one database.
+
+        Registers the database on demand, so callers need not call
+        :meth:`ensure_database` first; a node that evicted or lost the
+        database (a restart) gets it again the same way.
+        """
 
     @abstractmethod
     def heartbeat(self) -> bool:
         """Actively probe the node, updating and returning :attr:`alive`."""
-
-    def invalidate_shipped(self) -> None:
-        """Drop any handle-side belief about databases the node holds.
-
-        Called by the health supervisor when a node's circuit *recloses*: a
-        node answering probes again after being dark has typically restarted,
-        and a restarted process has lost every database this handle shipped.
-        In-process nodes hold their databases directly, so the default is a
-        no-op; transport handles with client-side shipped-state override it.
-        """
 
     @abstractmethod
     def stats(self) -> NodeStats:

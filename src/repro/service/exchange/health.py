@@ -22,12 +22,12 @@ past any grace).  This module gives each shape its own mechanism:
   half-open probe is allowed — success recloses, failure re-opens.
 * :class:`HealthMonitor` — the supervision loop owning one breaker per node.
   Runs as a daemon thread on an interval (:meth:`start`) or manually
-  (:meth:`tick`).  On every reclose it calls the node handle's
-  ``invalidate_shipped()``: a node that answers probes again after being dark
-  has typically *restarted*, and a restarted node has lost every database the
-  handle believes it shipped.  Nodes that stay dead for ``replace_after``
-  consecutive ticks are replaced through the manager (identity-preserving, so
-  rendezvous routing hands the replacement exactly the corpse's keys).
+  (:meth:`tick`).  It decides only whether a node is probed and routed to: a
+  node that answers again after being dark has typically *restarted* empty,
+  and the handle's first serve there re-ships each database on the node's
+  409.  Nodes that stay dead for ``replace_after`` consecutive ticks are
+  replaced through the manager (identity-preserving, so rendezvous routing
+  hands the replacement exactly the corpse's keys).
 
 Everything here is transport-agnostic: breakers and the monitor speak only
 the :class:`~repro.service.exchange.base.Node` contract, so a
@@ -171,8 +171,7 @@ class CircuitBreaker:
         return True
 
     def record_success(self) -> bool:
-        """Note a successful probe; ``True`` when this *recloses* the circuit
-        (the caller must treat the node as freshly restarted)."""
+        """Note a successful probe; ``True`` when this *recloses* the circuit."""
         reclosed = self.state != CLOSED
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -203,10 +202,8 @@ class HealthMonitor:
     1. skips nodes whose breaker is open and still cooling down (no probe
        spent on a node known to be dark);
     2. probes everyone else via ``node.heartbeat()``;
-    3. on success: closes the breaker — and when that transition *recloses*
-       a previously open/half-open circuit, calls the handle's
-       ``invalidate_shipped()`` so the next serve re-ships databases to what
-       is very likely a restarted process;
+    3. on success: closes the breaker, counting a *reclose* of a previously
+       open/half-open circuit in :attr:`recloses`;
     4. on failure (or a skipped dark tick): counts the node's consecutive
        suspect ticks, and once they reach ``replace_after`` replaces the node
        through the manager (identity-preserving) and resets its breaker.
@@ -294,7 +291,6 @@ class HealthMonitor:
                 if self._probe(node):
                     if breaker.record_success():
                         self._recloses += 1
-                        node.invalidate_shipped()
                     self._suspect_ticks[node_id] = 0
                 else:
                     breaker.record_failure()

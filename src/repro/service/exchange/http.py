@@ -39,10 +39,11 @@ transport faults on control requests, and re-dispatches a serve whose
 stream died *before its first outcome* on the same node (idempotent by
 determinism); once an outcome has been yielded, a dead stream raises so
 the exchange's kill-check-before-yield failover recomputes the tail on
-another node.  The node side bounds its database map with an LRU
-(``max_databases``); a client holding a stale shipped-set — node
-restarted, or its database was evicted — gets a 409 on ``/serve`` and
-transparently re-ships once.
+another node.  The node's runtime keeps at most
+:data:`~repro.service.exchange.nodes.MAX_DATABASES` databases warm; a
+client holding a stale shipped-set — node restarted, or its database was
+evicted — gets a 409 on ``/serve`` and transparently re-ships once.  That
+409 is the only correction a shipped-set needs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic, sleep
 
 from ...exceptions import ReproError
-from ...lru import BoundedLru
 from ...metrics import NodeStats
 from ..cancellation import CancellationToken
 from ..outcome import QueryOutcome
@@ -75,9 +75,6 @@ from .threads import RoutedExchange
 #: ``HTTPException`` covers a peer replying garbage (truncated or corrupted
 #: responses surface as ``BadStatusLine`` / ``IncompleteRead``).
 TRANSPORT_FAULTS = (ConnectionError, HTTPException, OSError)
-
-#: Default bound on databases a node holds warm (see ``max_databases``).
-DEFAULT_MAX_DATABASES = 32
 
 
 class _StaleDatabaseError(ReproError):
@@ -129,10 +126,7 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
         try:
             if self.path == "/databases":
                 request = self._read_json()
-                database = decode_payload(request["database"])
-                fingerprint = runtime.ensure_database(database)
-                # Keep the decoded object so /serve ships only the fingerprint.
-                self.server.databases.set(fingerprint, database)
+                fingerprint = runtime.ensure_database(decode_payload(request["database"]))
                 self._reply_json({"fingerprint": fingerprint})
             elif self.path == "/serve":
                 self._serve(runtime, self._read_json())
@@ -153,7 +147,7 @@ class _NodeRequestHandler(BaseHTTPRequestHandler):
 
     def _serve(self, runtime: ThreadNode, request: dict) -> None:
         fingerprint = request["fingerprint"]
-        database = self.server.databases.get(fingerprint)
+        database = runtime.database(fingerprint)
         if database is None:
             self._reply_json(
                 {"error": f"database {fingerprint!r} not registered"}, status=409
@@ -206,11 +200,9 @@ class HttpNodeServer:
 
     The runtime is a plain :class:`ThreadNode`; the HTTP layer adds only
     transport.  ``port=0`` binds an ephemeral port — read :attr:`address`.
-    ``max_databases`` bounds how many shipped databases (and their warm
-    servers) the node retains, LRU over fingerprints: shipping and serving
-    both count as touches, and an eviction also drops the runtime's warm
-    server for that content (:meth:`ThreadNode.evict_database`).  A client
-    whose database was evicted sees a 409 on ``/serve`` and re-ships.
+    Shipped databases live in the runtime, one warm server each, so the
+    runtime's bound is the node's: a client whose database was evicted sees
+    a 409 on ``/serve`` and re-ships.
     """
 
     def __init__(
@@ -220,21 +212,10 @@ class HttpNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_workers: int | None = None,
-        max_databases: int = DEFAULT_MAX_DATABASES,
     ) -> None:
-        if max_databases < 1:
-            raise ReproError(f"max_databases must be >= 1 (got {max_databases})")
         self.runtime = ThreadNode(node_id, max_workers=max_workers)
         self._httpd = _NodeHttpServer((host, port), _NodeRequestHandler)
         self._httpd.runtime = self.runtime
-        # ensure_database returns only the fingerprint over the wire; the
-        # server keeps the decoded database objects for /serve lookups.
-        # Server teardown runs outside the map's lock: closing pools is slow
-        # and must not block concurrent /serve lookups.
-        self._httpd.databases = BoundedLru(
-            max_entries=max_databases,
-            on_evict=lambda fingerprint, _database: self.runtime.evict_database(fingerprint),
-        )
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name=f"http-node-{node_id}", daemon=True
         )
@@ -259,7 +240,9 @@ class HttpNode(Node):
 
     ``alive`` is the client's belief: it flips to ``False`` on any failed
     request (connection refused, node-side error) and back to ``True`` only
-    through a successful :meth:`heartbeat` probe.
+    through a successful :meth:`heartbeat` probe.  So is the set of shipped
+    fingerprints: a serve the node answers with a 409 (it restarted, or
+    evicted the database) drops that fingerprint and re-ships it once.
 
     Args:
         timeout: per-request socket timeout in seconds (connection,
@@ -328,11 +311,6 @@ class HttpNode(Node):
                 )
             self._shipped.add(fingerprint)
         return fingerprint
-
-    def invalidate_shipped(self) -> None:
-        """Forget which databases were shipped (the node restarted or was
-        replaced behind this address); the next serve re-ships on demand."""
-        self._shipped.clear()
 
     def serve_iter(
         self,
@@ -510,7 +488,7 @@ class HttpNodeLauncher(NodeLauncher):
     handles yourself and registering them on the manager.
 
     ``request_timeout`` / ``retry`` configure every handle this launcher
-    hands out; ``max_databases`` bounds every node's database LRU.
+    hands out.
     """
 
     #: Handle class :meth:`launch` constructs; subclasses substitute their
@@ -525,22 +503,15 @@ class HttpNodeLauncher(NodeLauncher):
         max_workers: int | None = None,
         request_timeout: float = 30.0,
         retry: RetryPolicy | None = None,
-        max_databases: int = DEFAULT_MAX_DATABASES,
     ) -> None:
         self._host = host
         self._max_workers = max_workers
         self._request_timeout = request_timeout
         self._retry = retry
-        self._max_databases = max_databases
         self._servers: list[HttpNodeServer] = []
 
     def launch(self, node_id: str) -> HttpNode:
-        server = HttpNodeServer(
-            node_id,
-            host=self._host,
-            max_workers=self._max_workers,
-            max_databases=self._max_databases,
-        )
+        server = HttpNodeServer(node_id, host=self._host, max_workers=self._max_workers)
         self._servers.append(server)
         host, port = server.address
         return self.handle_class(
@@ -572,7 +543,6 @@ class HttpExchange(RoutedExchange):
         max_workers: int | None = None,
         request_timeout: float = 30.0,
         retry: RetryPolicy | None = None,
-        max_databases: int = DEFAULT_MAX_DATABASES,
     ) -> None:
         if manager is None:
             manager = NodeManager(
@@ -581,7 +551,6 @@ class HttpExchange(RoutedExchange):
                     max_workers=max_workers,
                     request_timeout=request_timeout,
                     retry=retry,
-                    max_databases=max_databases,
                 )
             )
         if not manager.node_ids():

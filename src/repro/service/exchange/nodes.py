@@ -2,25 +2,33 @@
 
 A :class:`ThreadNode` is the node-layer runtime every exchange ultimately
 serves through: it lazily builds one
-:class:`~repro.service.server.ResilienceServer` per registered database
-fingerprint (each with its own warm worker pool) and streams outcomes for
-sub-workloads routed to it.  :class:`ThreadExchange` holds several of these
-directly; the HTTP transport wraps one behind a socket — the runtime is the
-same either way, so in-process and over-the-wire serving cannot drift.
+:class:`~repro.service.server.ResilienceServer` per database fingerprint
+(each with its own warm worker pool), keeps at most :data:`MAX_DATABASES` of
+them warm, and streams outcomes for sub-workloads routed to it.
+:class:`ThreadExchange` holds several of these directly; the HTTP transport
+wraps one behind a socket — the runtime is the same either way, so
+in-process and over-the-wire serving cannot drift.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 
 from ...exceptions import ReproError
+from ...lru import BoundedLru
 from ...metrics import CacheStats, NodeStats, PoolStats
 from ..cache import LanguageCache
 from ..outcome import QueryOutcome
 from ..server import CancelArg, ResilienceServer
 from ..workload import Workload
 from .base import AnyDatabase, Node
+
+#: Warm servers a node keeps, least recently used evicted first.  An evicted
+#: server closes (its pool shut down) once the streams leasing it end, and
+#: the next serve of its database rebuilds it; the result cache lives in the
+#: language cache and the index and compiled graphs on the database object,
+#: so eviction costs warmth, never an outcome.  Read when a node is built.
+MAX_DATABASES = 32
 
 
 class ThreadNode(Node):
@@ -50,9 +58,10 @@ class ThreadNode(Node):
         self._max_workers = max_workers
         self._owns_cache = cache is None
         self._cache = cache if cache is not None else LanguageCache()
-        # HTTP handler threads register and evict databases concurrently.
-        self._servers: dict[str, ResilienceServer] = {}
-        self._servers_lock = threading.Lock()
+        # Keyed by content fingerprint; HTTP handler threads share the map.
+        self._servers = BoundedLru(
+            max_entries=MAX_DATABASES, on_evict=lambda _key, server: server.release()
+        )
         self._envelopes_served = 0
         self._killed = False
         self._closed = False
@@ -80,36 +89,29 @@ class ThreadNode(Node):
         self._server_for(database)
         return database.content_fingerprint()
 
+    def database(self, fingerprint: str) -> AnyDatabase | None:
+        """The warm database under ``fingerprint``; ``None`` when the node
+        does not hold it (never registered, or evicted)."""
+        server = self._servers.get(fingerprint)
+        return None if server is None else server.database
+
     def _server_for(self, database: AnyDatabase) -> ResilienceServer:
-        """Get or create the database's server in one step, so a concurrent
-        :meth:`evict_database` cannot leave a caller without one (and a
-        concurrent :meth:`close` sees every server this creates)."""
+        """Get or create the database's server; refuses on a dead node."""
+        if not self.alive:
+            raise ReproError(f"node {self.node_id!r} is not serving")
         fingerprint = database.content_fingerprint()
-        with self._servers_lock:
-            if not self.alive:
-                raise ReproError(f"node {self.node_id!r} is not serving")
-            server = self._servers.get(fingerprint)
-            if server is None:
-                server = self._servers[fingerprint] = ResilienceServer(
-                    database, max_workers=self._max_workers, cache=self._cache
-                )
-        return server
-
-    def _server_list(self) -> list[ResilienceServer]:
-        with self._servers_lock:
-            return list(self._servers.values())
-
-    def evict_database(self, fingerprint: str) -> None:
-        """Drop the warm server for one fingerprint (bounded-cache eviction).
-
-        A later :meth:`ensure_database` for the same content rebuilds it;
-        eviction trades warmth for memory, never correctness.  Unknown
-        fingerprints are a no-op.
-        """
-        with self._servers_lock:
-            server = self._servers.pop(fingerprint, None)
-        if server is not None:
+        server = self._servers.get(fingerprint)
+        if server is None:
+            server = self._servers.setdefault(
+                fingerprint,
+                ResilienceServer(database, max_workers=self._max_workers, cache=self._cache),
+            )
+        if not self.alive:
+            # close()/kill() may have listed the servers before this one
+            # was inserted: close it here rather than leak it.
             server.close()
+            raise ReproError(f"node {self.node_id!r} is not serving")
+        return server
 
     def serve_iter(
         self,
@@ -118,14 +120,21 @@ class ThreadNode(Node):
         *,
         cancel: CancelArg = None,
     ) -> Iterator[QueryOutcome]:
+        # Leased when the stream starts; a server that closed between lookup
+        # and lease refuses, and the next lookup rebuilds it.
         server = self._server_for(database)
+        while not server.lease():
+            server = self._server_for(database)
         self._envelopes_served += 1
-        return server.serve_iter(workload, database=database, cancel=cancel)
+        try:
+            yield from server.serve_iter(workload, database=database, cancel=cancel)
+        finally:
+            server.release()
 
     # -------------------------------------------------------------- lifecycle
 
     def stats(self) -> NodeStats:
-        servers = self._server_list()
+        servers = self._servers.values()
         return NodeStats(
             node_id=self.node_id,
             alive=self.alive,
@@ -138,14 +147,15 @@ class ThreadNode(Node):
     def kill(self) -> None:
         """Abrupt teardown (fault injection): in-flight streams on this node
         will observe :attr:`killed` and hand their unserved tail back to the
-        exchange for re-routing."""
+        exchange for re-routing (an evicted server still running a stream
+        closes when the exchange drops that stream)."""
         self._killed = True
-        for server in self._server_list():
+        for server in self._servers.values():
             server.close()
 
     def close(self) -> None:
         self._closed = True
-        for server in self._server_list():
+        for server in self._servers.values():
             server.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

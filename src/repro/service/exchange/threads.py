@@ -169,7 +169,6 @@ class RoutedExchange(Exchange):
                 break
             clean_pass = True
             try:
-                node.ensure_database(part.database)
                 yield from self._drain_node(node, part, offset, remaining, cancel)
             except Exception as error:
                 clean_pass = False

@@ -53,6 +53,20 @@ class QueryOutcome:
     nodes_explored: int | None = None
 
     @classmethod
+    def answered(cls, index: int, spec: QuerySpec, result: ResilienceResult) -> "QueryOutcome":
+        """The outcome of a query answered with ``result``, whether it just
+        ran or came from a result cache: the cache changes cost, never
+        outcomes."""
+        return cls(
+            index=index,
+            query=spec.display_name(),
+            status=OK,
+            method=result.method,
+            result=result,
+            nodes_explored=result.details.get("nodes_explored"),
+        )
+
+    @classmethod
     def unserved(
         cls,
         index: int,

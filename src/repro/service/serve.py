@@ -31,7 +31,7 @@ from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..resilience.engine import execute, plan_query, warm_database
 from .cache import LanguageCache
 from .cancellation import DEADLINE_STATE, FLAG_LIVE, FLAG_STATES
-from .outcome import BUDGET_EXCEEDED, ERROR, OK, QueryOutcome
+from .outcome import BUDGET_EXCEEDED, ERROR, QueryOutcome
 from .scheduler import ScheduledQuery
 from .workload import QueryLike, QuerySpec, Workload
 
@@ -70,14 +70,7 @@ def _execute(item: ScheduledQuery, database: AnyDatabase) -> QueryOutcome:
             f"{type(error).__name__}: {error}",
             method=item.planned_method,
         )
-    return QueryOutcome(
-        index=item.index,
-        query=spec.display_name(),
-        status=OK,
-        method=result.method,
-        result=result,
-        nodes_explored=result.details.get("nodes_explored"),
-    )
+    return QueryOutcome.answered(item.index, spec, result)
 
 
 def cancelled_outcome(item: ScheduledQuery, status: str, reason: str) -> QueryOutcome:

@@ -39,7 +39,6 @@ from ..exceptions import ReproError
 from ..graphdb.database import BagGraphDatabase, GraphDatabase
 from ..metrics import PoolStats
 from ..resilience.engine import warm_database
-from ..resilience.result import ResilienceResult
 from .cache import LanguageCache
 from .cancellation import CancellationToken, make_cancel_flags
 from .outcome import ERROR, OK, QueryOutcome
@@ -133,6 +132,8 @@ class ResilienceServer:
         self._pool: ProcessPoolExecutor | None = None
         self._pool_width = 0
         self._closed = False
+        # One hold for the owner (a node's map), one per leased stream.
+        self._holds = 1
         # Orders close() against a stream forking a pool on another thread
         # (a node kill closes servers while their streams run).  Reentrant:
         # _ensure_pool discards a stale pool while holding it.
@@ -188,6 +189,23 @@ class ResilienceServer:
         with self._pool_lock:
             self._closed = True
         self._discard_pool(wait=True)
+
+    def lease(self) -> bool:
+        """Hold the server open for one stream; ``False`` once it closed."""
+        with self._pool_lock:
+            if self._closed or not self._holds:
+                return False
+            self._holds += 1
+            return True
+
+    def release(self) -> None:
+        """Drop a stream's hold, or the owner's (a node evicting the server);
+        the last hold dropped closes it, so an eviction fails no stream."""
+        with self._pool_lock:
+            self._holds -= 1
+            idle = not self._holds
+        if idle:
+            self.close()
 
     def __enter__(self) -> "ResilienceServer":
         return self
@@ -318,7 +336,7 @@ class ResilienceServer:
             if cached is None:
                 to_run.append(item)
             else:
-                hits.append((item, self._hit_outcome(item, cached)))
+                hits.append((item, QueryOutcome.answered(item.index, item.spec, cached)))
         return self._stream(to_run, failed, hits, cancel)
 
     def _tokens_for(
@@ -563,22 +581,6 @@ class ResilienceServer:
                 self._chunks_dispatched += 1
                 return future
         return None
-
-    @staticmethod
-    def _hit_outcome(item: ScheduledQuery, result: ResilienceResult) -> QueryOutcome:
-        """Build the outcome of a result-cache hit.
-
-        Field-identical to what :func:`~repro.service.serve._execute` builds
-        for the same result — the cache changes cost, never outcomes.
-        """
-        return QueryOutcome(
-            index=item.index,
-            query=item.spec.display_name(),
-            status=OK,
-            method=result.method,
-            result=result,
-            nodes_explored=result.details.get("nodes_explored"),
-        )
 
     def _record_outcome(self, item: ScheduledQuery, outcome: QueryOutcome) -> None:
         """Feed a completed outcome into the session's result-level cache.

@@ -169,7 +169,7 @@ class TestSharedLru:
         assert (evicted, lru.size, lru.evictions) == (["b"], 8, 1)
 
     def test_on_evict_runs_after_the_lock_is_released(self):
-        # The HTTP node's callback tears down a warm server; it may touch the
+        # A node's callback closes an evicted warm server; it may touch the
         # map, which would deadlock under a held lock.
         lru = BoundedLru(max_entries=1, on_evict=lambda key, value: lru.get(key))
         lru.set("a", 1)
@@ -179,8 +179,11 @@ class TestSharedLru:
     def test_clear_empties_without_counting_evictions(self):
         lru = BoundedLru(max_entries=4)
         lru.set("a", 1)
+        lru.set("b", 2)
+        lru.get("a")
+        assert lru.values() == [2, 1], "a snapshot, least recently used first"
         lru.clear()
-        assert (len(lru), lru.size, lru.evictions) == (0, 0, 0)
+        assert (len(lru), lru.size, lru.evictions, lru.values()) == (0, 0, 0, [])
 
 
 #: The PTIME queries of Figure 1: 3 local, 2 BCL and 4 one-dangling.

@@ -12,6 +12,7 @@ behavior (including its stats round-trip).
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import threading
 
@@ -20,6 +21,7 @@ import pytest
 from faults import ChaosHttpNodeLauncher, drain_with_kill
 from repro.exceptions import ReproError
 from repro.graphdb import GraphDatabase, generators
+from repro.lru import BoundedLru
 from repro.service import (
     CircuitBreaker,
     EnvelopePart,
@@ -27,6 +29,7 @@ from repro.service import (
     LanguageCache,
     NodeManager,
     QuerySpec,
+    ResilienceServer,
     RetryPolicy,
     Router,
     ThreadExchange,
@@ -44,6 +47,7 @@ from repro.service.exchange import (
     ThreadNode,
     ThreadNodeLauncher,
 )
+from repro.service.exchange import nodes as node_module
 from repro.traffic import CORRUPT, DISCONNECT, REFUSED, STALL
 
 QUERIES = ("ax*b", "ab|bc", "aa", "(ab)*a", "ε|a", "((")
@@ -617,48 +621,199 @@ def test_node_restart_on_same_port_reships_transparently(set_db):
         server.close()
 
 
-def test_database_lru_evicts_and_reships_under_cap(set_db, bag_db):
-    """With a one-database cap, alternating databases forces an eviction per
+def record_requests(node: HttpNode, monkeypatch) -> list[str]:
+    """The path of every control request ``node`` sends from now on."""
+    sent: list[str] = []
+    request = node._request_json
+
+    def recording(method, path, payload=None):
+        sent.append(path)
+        return request(method, path, payload)
+
+    monkeypatch.setattr(node, "_request_json", recording)
+    return sent
+
+
+def test_database_lru_evicts_and_reships_under_cap(set_db, bag_db, monkeypatch):
+    """With a one-database bound, alternating databases forces an eviction per
     switch; every serve still answers with full parity through the 409
     re-ship path."""
-    launcher = HttpNodeLauncher(max_workers=1, max_databases=1)
+    monkeypatch.setattr(node_module, "MAX_DATABASES", 1)
+    launcher = HttpNodeLauncher(max_workers=1)
     manager = NodeManager(launcher)
     manager.spawn(1)
     try:
         node = manager.node("node-0")
+        sent = record_requests(node, monkeypatch)
         workload = Workload.coerce(QUERIES)
         assert sorted_outcomes(node.serve_iter(workload, set_db)) == reference(set_db)
         assert sorted_outcomes(node.serve_iter(workload, bag_db)) == reference(bag_db)
-        # set_db was evicted by bag_db under cap=1; serving it again re-ships.
+        assert sent.count("/databases") == 2
+        # set_db was evicted by bag_db under the bound; serving it again re-ships.
         assert sorted_outcomes(node.serve_iter(workload, set_db)) == reference(set_db)
+        assert sent.count("/databases") == 3
+        assert launcher._servers[0].runtime.stats().databases == 1
     finally:
         manager.close()
 
 
-def test_an_eviction_right_after_registration_leaves_the_serve_a_server(set_db):
-    """An HTTP node's LRU may evict a database the moment it is registered;
-    the serve that registered it must still find a server."""
+def test_thread_node_keeps_at_most_max_databases_warm(set_db, bag_db, monkeypatch):
+    """Alternating two databases through one pooled node under a one-database
+    bound evicts a warm server per switch: answers stay the serial
+    reference's, the node holds one database, and each evicted server's pool
+    is shut down."""
+    monkeypatch.setattr(node_module, "MAX_DATABASES", 1)
+    workload = Workload.coerce(QUERIES)
+    forked: list[frozenset[int]] = []
+    with ThreadExchange(nodes=1, max_workers=2) as exchange:
+        for database in (set_db, bag_db, set_db):
+            envelope = WorkloadEnvelope.single(workload, database)
+            assert sorted_outcomes(exchange.submit(envelope)) == reference(database)
+            (snapshot,) = exchange.stats()
+            assert snapshot.databases == 1
+            live = {child.pid for child in multiprocessing.active_children()}
+            for pids in forked:
+                assert not pids & live, "an evicted server's workers must be gone"
+            forked.append(exchange.worker_pids())
+    # The first two serves fork a pool each; the third is all result-cache
+    # hits (the cache outlives the evicted server) and forks nothing.
+    assert forked[0] and forked[1] and not forked[2]
+
+
+class _HoldingNode(ThreadNode):
+    """A pooled node whose stream on ``held`` pauses after its first outcome
+    until a stream on another database has run to its end."""
+
+    def __init__(self, held) -> None:
+        super().__init__("node-0", max_workers=2)
+        self._held = held.content_fingerprint()
+        self._holding = threading.Event()
+        self._other_done = threading.Event()
+
+    def serve_iter(self, workload, database, *, cancel=None):
+        stream = super().serve_iter(workload, database, cancel=cancel)
+        if database.content_fingerprint() == self._held:
+            return self._hold(stream)
+        return self._after_hold(stream)
+
+    def _hold(self, stream):
+        first = next(stream)  # the stream holds its server from here on
+        (self.held_server,) = self._servers.values()
+        self._holding.set()
+        self._other_done.wait(timeout=30)
+        yield first
+        yield from stream
+
+    def _after_hold(self, stream):
+        self._holding.wait(timeout=30)
+        try:
+            yield from stream
+        finally:
+            self._other_done.set()
+
+
+def test_a_server_evicted_mid_stream_finishes_the_stream_then_closes(
+    set_db, bag_db, monkeypatch
+):
+    """Under a one-database bound, an envelope with two databases on one
+    pooled node evicts the first part's server while its stream runs (its
+    parse failure streams first, before any pool work).  Every query still
+    answers like the serial reference, and the evicted server's pool is shut
+    down once its stream ends."""
+    from dataclasses import replace
+
+    monkeypatch.setattr(node_module, "MAX_DATABASES", 1)
+    before = {child.pid for child in multiprocessing.active_children()}
+    node = _HoldingNode(set_db)
+    manager = NodeManager()
+    manager.register(node)
+    workload = Workload.coerce(QUERIES)
+    envelope = WorkloadEnvelope(
+        parts=(
+            EnvelopePart(workload=workload, database=set_db),
+            EnvelopePart(workload=workload, database=bag_db),
+        )
+    )
+    with RoutedExchange(manager) as exchange:
+        outcomes = sorted_outcomes(exchange.submit(envelope))
+        (snapshot,) = exchange.stats()
+        assert snapshot.databases == 1
+        forked = {child.pid for child in multiprocessing.active_children()} - before
+        assert forked == set(snapshot.pool.worker_pids), "the evicted pool must be gone"
+    with pytest.raises(ReproError, match="closed"):
+        node.held_server.serve(workload)
+    assert [outcome.status for outcome in outcomes] == [
+        outcome.status for outcome in reference(set_db) + reference(bag_db)
+    ]
+    assert outcomes[: len(QUERIES)] == reference(set_db)
+    assert [
+        replace(outcome, index=outcome.index - len(QUERIES))
+        for outcome in outcomes[len(QUERIES):]
+    ] == reference(bag_db)
+
+
+def test_an_eviction_right_after_registration_leaves_the_serve_a_server(
+    set_db, bag_db, monkeypatch
+):
+    """Under a one-database bound, a registration on another thread may evict
+    a server between the serve's lookup and its lease; the serve then finds
+    the server closed, rebuilds it and still answers."""
+    monkeypatch.setattr(node_module, "MAX_DATABASES", 1)
     node = ThreadNode("node-0", max_workers=1)
-    register = node.ensure_database
+    insert = BoundedLru.setdefault
+    hooked: list[str] = []
 
-    def register_then_evict(database):
-        fingerprint = register(database)
-        node.evict_database(fingerprint)
-        return fingerprint
+    def insert_then_evict(lru, key, value):
+        held = insert(lru, key, value)
+        if lru is node._servers and not hooked:
+            hooked.append(key)
+            node.ensure_database(bag_db)
+        return held
 
-    node.ensure_database = register_then_evict
+    monkeypatch.setattr(BoundedLru, "setdefault", insert_then_evict)
     try:
         outcomes = sorted_outcomes(node.serve_iter(Workload.coerce(QUERIES), set_db))
         assert outcomes == reference(set_db)
+        assert hooked == [set_db.content_fingerprint()]
+        # set_db's first server was evicted by bag_db's, and bag_db's by the rebuild.
+        assert node._servers.evictions == 2
+        assert node.database(set_db.content_fingerprint()) is set_db
     finally:
         node.close()
 
 
-def test_thread_node_server_map_survives_concurrent_serves_evictions_and_stats():
-    """An HTTP node's LRU evicts warm servers and its handler threads register
-    databases while others serve or read stats.  A serve must always find a
-    server (it used to register, then look up in a second step a racing
-    eviction could empty), and stats must never trip over a registration."""
+def test_a_server_created_while_the_node_closes_is_closed_not_leaked(
+    set_db, bag_db, monkeypatch
+):
+    """close() lists the servers it closes; a server a serve creates after
+    that listing must be closed by the serve itself, which then refuses.  A
+    registration on the closed node refuses before it builds a server."""
+    node = ThreadNode("node-0", max_workers=2)
+    created: list[ResilienceServer] = []
+
+    def create_while_closing(*args, **kwargs):
+        node.close()
+        created.append(ResilienceServer(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(node_module, "ResilienceServer", create_while_closing)
+    with pytest.raises(ReproError, match="not serving"):
+        list(node.serve_iter(Workload.coerce(QUERIES), set_db))
+    (server,) = created
+    with pytest.raises(ReproError, match="closed"):
+        server.serve(Workload.coerce(QUERIES))
+    with pytest.raises(ReproError, match="not serving"):
+        node.ensure_database(bag_db)
+    assert len(created) == 1 and node.stats().databases == 1
+
+
+def test_thread_node_server_map_survives_concurrent_serves_evictions_and_stats(monkeypatch):
+    """Under a bound below the databases in play, registrations evict warm
+    servers while other threads serve or read stats.  A serve must always
+    find a server (it used to register, then look up in a second step a
+    racing eviction could empty), and stats must never trip over a
+    registration."""
+    monkeypatch.setattr(node_module, "MAX_DATABASES", 2)
     databases = [
         GraphDatabase.from_edges([("u", "a", f"v{position}")]) for position in range(6)
     ]
@@ -679,10 +834,10 @@ def test_thread_node_server_map_survives_concurrent_serves_evictions_and_stats()
                 errors.append(error)
                 return
 
-    def evict() -> None:
+    def register() -> None:
         while not stop.is_set():
             for database in databases:
-                node.evict_database(database.content_fingerprint())
+                node.ensure_database(database)
 
     def read_stats() -> None:
         while not stop.is_set():
@@ -696,7 +851,7 @@ def test_thread_node_server_map_survives_concurrent_serves_evictions_and_stats()
     sys.setswitchinterval(1e-6)
     try:
         servers = [threading.Thread(target=serve, args=(worker,)) for worker in range(2)]
-        observers = [threading.Thread(target=evict), threading.Thread(target=read_stats)]
+        observers = [threading.Thread(target=register), threading.Thread(target=read_stats)]
         for thread in servers + observers:
             thread.start()
         for thread in servers:
@@ -710,24 +865,21 @@ def test_thread_node_server_map_survives_concurrent_serves_evictions_and_stats()
     assert not any(thread.is_alive() for thread in servers + observers)
     assert errors == []
     assert sum(served) > 0
+    assert node.stats().databases == 2
 
 
-def test_database_bound_below_one_is_rejected():
-    with pytest.raises(ReproError, match="max_databases must be >= 1"):
-        HttpNodeServer("node-0", max_databases=0)
-
-
-def test_health_monitor_opens_recloses_and_invalidates_shipped(set_db):
+def test_health_monitor_recloses_and_the_next_serve_reships_once(set_db, monkeypatch):
     """The full circuit: probes fail -> breaker opens -> cooldown -> half-open
-    probe against the restarted node -> reclose invalidates the handle's
-    shipped-set so the next serve re-ships."""
+    probe against the restarted node -> reclose.  The restarted node holds
+    no database, so the next serve meets a 409 and uploads it exactly once."""
     launcher = HttpNodeLauncher(max_workers=1)
     manager = NodeManager(launcher)
     manager.spawn(1)
     try:
         node = manager.node("node-0")
+        sent = record_requests(node, monkeypatch)
         list(node.serve_iter(Workload.coerce(["aa"]), set_db))
-        assert node._shipped, "precondition: a database was shipped"
+        assert sent.count("/databases") == 1, "precondition: a database was shipped"
         monitor = HealthMonitor(manager, failure_threshold=2, cooldown_ticks=1)
         server = launcher._servers[0]
         host, port = server.address
@@ -747,9 +899,11 @@ def test_health_monitor_opens_recloses_and_invalidates_shipped(set_db):
         monitor.tick()  # half-open probe succeeds -> reclose
         assert monitor.states() == {"node-0": "closed"}
         assert monitor.recloses == 1
-        assert not node._shipped, "reclose must invalidate the shipped-set"
+        assert restarted.runtime.stats().databases == 0
         outcomes = sorted_outcomes(node.serve_iter(Workload.coerce(QUERIES), set_db))
         assert outcomes == reference(set_db)
+        assert sent.count("/databases") == 2, "the 409 re-ships exactly once"
+        assert restarted.runtime.stats().databases == 1
     finally:
         manager.close()
 

@@ -38,12 +38,9 @@ OPTION_SURFACE = {
     ThreadNodeLauncher: ("max_workers", "cache"),
     RoutedExchange: ("manager",),
     ThreadExchange: ("nodes", "max_workers", "cache"),
-    HttpNodeServer: ("node_id", "host", "port", "max_workers", "max_databases"),
-    HttpNodeLauncher: ("host", "max_workers", "request_timeout", "retry", "max_databases"),
-    HttpExchange: (
-        "nodes", "manager", "host", "max_workers", "request_timeout", "retry",
-        "max_databases",
-    ),
+    HttpNodeServer: ("node_id", "host", "port", "max_workers"),
+    HttpNodeLauncher: ("host", "max_workers", "request_timeout", "retry"),
+    HttpExchange: ("nodes", "manager", "host", "max_workers", "request_timeout", "retry"),
     AsyncResilienceServer: (
         "exchange", "database", "max_queue_depth", "round_share", "share_weights",
         "autostart",
@@ -63,16 +60,17 @@ OPTION_SURFACE = {
 #: ``max_workers=1``, the router and failover bound are fixed, a caller
 #: with its own fleet uses ``RoutedExchange(manager)``, an exhausted
 #: failover chain always degrades to the serial fallback, a soak always
-#: heals its fleet, and a cache is bounded by entries only.
+#: heals its fleet, a cache is bounded by entries only, and a node's warm
+#: databases are bounded by ``nodes.MAX_DATABASES``.
 REMOVED_KEYWORDS = {
     ResilienceServer: ("parallel",),
     ThreadNode: ("parallel",),
     ThreadNodeLauncher: ("parallel",),
     RoutedExchange: ("router", "max_failovers", "degraded_fallback"),
     ThreadExchange: ("manager", "router", "max_failovers", "degraded_fallback", "parallel"),
-    HttpNodeServer: ("parallel",),
-    HttpNodeLauncher: ("parallel",),
-    HttpExchange: ("router", "max_failovers", "degraded_fallback", "parallel"),
+    HttpNodeServer: ("parallel", "max_databases"),
+    HttpNodeLauncher: ("parallel", "max_databases"),
+    HttpExchange: ("router", "max_failovers", "degraded_fallback", "parallel", "max_databases"),
     SoakRunner: ("parallel", "auto_heal"),
     LanguageCache: ("max_age_seconds", "clock"),
 }
@@ -86,7 +84,7 @@ def test_serving_option_surface_is_pinned():
         for entry in OPTION_SURFACE
     }
     assert surface == {entry.__qualname__: names for entry, names in OPTION_SURFACE.items()}
-    assert sum(len(names) for names in OPTION_SURFACE.values()) == 65
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 62
 
     positional = {
         ResilienceServer: (generators.random_labelled_graph(3, 4, "ab", seed=1),),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import NotLocalError
 from repro.flow.mincut import min_cut
+from repro.flow.substrate import compile_product_graph
 from repro.graphdb import BagGraphDatabase, Fact, GraphDatabase, generators
 from repro.languages import Language
 from repro.languages.local import local_overapproximation
@@ -35,6 +36,8 @@ class TestProductNetwork:
         database = GraphDatabase.from_edges([("u", "a", "v")]).to_bag(1)
         with pytest.raises(NotLocalError):
             build_product_network(language.automaton, database)
+        with pytest.raises(NotLocalError):
+            compile_product_graph(language.automaton, database.index())
 
 
 class TestCorrectness:
